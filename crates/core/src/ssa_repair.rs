@@ -14,6 +14,16 @@
 //! 4. re-running the standard SSA construction algorithm ([`ssa_passes::mem2reg`])
 //!    to place phi-nodes, which — thanks to the shared slots — materializes one
 //!    phi web per coalesced pair instead of two plus a select.
+//!
+//! ## Cost
+//!
+//! One repair builds one dominator tree and checks every use once to find the
+//! broken definitions (a use in its definition's own block by walking that
+//! block up to the first of the two), collects the uses of all broken
+//! definitions in one more pass, pairs them (quadratic in the number of
+//! broken definitions of each input function, not in the function's size),
+//! places each store and load after one search of its block, and runs
+//! [`ssa_passes::mem2reg::promote_slots`] once over all slots.
 
 use crate::codegen::CodegenMaps;
 use ssa_ir::dominators::DomTree;
@@ -45,9 +55,13 @@ pub fn repair(function: &mut Function, maps: &CodegenMaps, coalesce: bool) -> Re
         return stats;
     }
 
+    // Demoting one definition never changes another one's users, so these
+    // lists stay valid throughout the repair.
+    let users = function.users_of_all(&broken);
+
     // Group definitions: coalesced pairs share one slot, the rest get one each.
     let groups = if coalesce {
-        let (pairs, singles) = coalesce_pairs(function, maps, &broken);
+        let (pairs, singles) = coalesce_pairs(function, maps, &broken, &users);
         stats.coalesced_pairs = pairs.len();
         pairs
             .into_iter()
@@ -66,7 +80,7 @@ pub fn repair(function: &mut Function, maps: &CodegenMaps, coalesce: bool) -> Re
         let slot = function.insert_inst(entry, 0, InstKind::Alloca { ty }, Type::Ptr);
         slots.push(slot);
         for &def in group {
-            demote_def_to_slot(function, def, slot);
+            demote_def_to_slot(function, def, slot, &users[&def]);
         }
     }
     stats.slots = slots.len();
@@ -83,36 +97,30 @@ pub fn find_broken_defs(function: &Function) -> Vec<InstId> {
     let mut broken: Vec<InstId> = Vec::new();
     let mut seen: HashSet<InstId> = HashSet::new();
     for block in function.block_ids() {
-        for user in function.block(block).all_insts().collect::<Vec<_>>() {
-            let kind = function.inst(user).kind.clone();
-            if let InstKind::Phi { incomings } = &kind {
-                for (value, pred) in incomings {
+        for user in function.block(block).all_insts() {
+            if let InstKind::Phi { incomings } = &function.inst(user).kind {
+                for &(value, pred) in incomings {
                     let Value::Inst(def) = value else { continue };
-                    if !function.contains_inst(*def) {
-                        continue;
-                    }
-                    let def_block = function.inst(*def).block;
-                    let ok = domtree.is_reachable(*pred)
-                        && (def_block == *pred || domtree.dominates(def_block, *pred));
-                    if !ok && seen.insert(*def) {
-                        broken.push(*def);
-                    }
-                }
-            } else {
-                let mut defs = Vec::new();
-                kind.for_each_operand(|v| {
-                    if let Value::Inst(d) = v {
-                        defs.push(d);
-                    }
-                });
-                for def in defs {
                     if !function.contains_inst(def) {
                         continue;
                     }
-                    if !domtree.def_dominates_use(function, def, user, block) && seen.insert(def) {
+                    let def_block = function.inst(def).block;
+                    let ok = domtree.is_reachable(pred)
+                        && (def_block == pred || domtree.dominates(def_block, pred));
+                    if !ok && seen.insert(def) {
                         broken.push(def);
                     }
                 }
+            } else {
+                function.inst(user).kind.for_each_operand(|v| {
+                    let Value::Inst(def) = v else { return };
+                    if function.contains_inst(def)
+                        && !domtree.def_dominates_use(function, def, user, block)
+                        && seen.insert(def)
+                    {
+                        broken.push(def);
+                    }
+                });
             }
         }
     }
@@ -126,13 +134,10 @@ fn coalesce_pairs(
     function: &Function,
     maps: &CodegenMaps,
     broken: &[InstId],
+    users: &HashMap<InstId, Vec<InstId>>,
 ) -> (Vec<(InstId, InstId)>, Vec<InstId>) {
     let user_blocks = |d: InstId| -> HashSet<BlockId> {
-        function
-            .users_of(Value::Inst(d))
-            .into_iter()
-            .map(|u| function.inst(u).block)
-            .collect()
+        users[&d].iter().map(|&u| function.inst(u).block).collect()
     };
     let mut f1_only: Vec<InstId> = Vec::new();
     let mut f2_only: Vec<InstId> = Vec::new();
@@ -190,11 +195,10 @@ fn coalesce_pairs(
 /// Demotes one definition to the given stack slot: stores it right after its
 /// definition and replaces every use by a load placed before the user (or at
 /// the end of the incoming block for phi uses).
-fn demote_def_to_slot(function: &mut Function, def: InstId, slot: InstId) {
+fn demote_def_to_slot(function: &mut Function, def: InstId, slot: InstId, users: &[InstId]) {
     let slot_val = Value::Inst(slot);
     let ty = function.inst(def).ty;
     let def_block = function.inst(def).block;
-    let users = function.users_of(Value::Inst(def));
 
     // Place the defining store.
     if let InstKind::Invoke { normal, .. } = &function.inst(def).kind {
@@ -229,10 +233,9 @@ fn demote_def_to_slot(function: &mut Function, def: InstId, slot: InstId) {
     }
 
     // Replace the uses.
-    for user in users {
+    for &user in users {
         let user_block = function.inst(user).block;
-        let user_kind = function.inst(user).kind.clone();
-        if let InstKind::Phi { incomings } = user_kind {
+        if let InstKind::Phi { incomings } = &function.inst(user).kind {
             let mut rewritten = incomings.clone();
             for (value, pred) in rewritten.iter_mut() {
                 if *value == Value::Inst(def) {

@@ -6,22 +6,35 @@
 //! code generator.
 
 use crate::function::Function;
-use crate::ids::{BlockId, InstId};
-use std::collections::{HashMap, HashSet};
+use crate::ids::{BlockId, EntityId, InstId};
+use std::collections::HashSet;
+
+/// Marks an unreachable block in the position table.
+const UNREACHABLE: u32 = u32::MAX;
 
 /// The dominator tree of a function, including dominance frontiers.
+///
+/// Blocks are numbered by their position in the reverse post-order, and
+/// every table is a vector over those positions: computing the tree costs a
+/// handful of allocations whatever the size of the function, and a
+/// dominance query walks up plain indices.
 #[derive(Debug, Clone)]
 pub struct DomTree {
-    /// Immediate dominator of each reachable block (the entry maps to itself).
-    idom: HashMap<BlockId, BlockId>,
-    /// Children in the dominator tree.
-    children: HashMap<BlockId, Vec<BlockId>>,
-    /// Dominance frontier of each reachable block.
-    frontier: HashMap<BlockId, Vec<BlockId>>,
     /// Reverse post-order of reachable blocks.
     rpo: Vec<BlockId>,
-    /// Position of each block in `rpo`.
-    rpo_index: HashMap<BlockId, usize>,
+    /// Position of each block in `rpo`, indexed by block id
+    /// ([`UNREACHABLE`] for blocks the entry does not reach).
+    rpo_index: Vec<u32>,
+    /// Immediate dominator of each reachable block, by position (the entry
+    /// maps to itself).
+    idom: Vec<u32>,
+    /// Children in the dominator tree, in reverse post-order: those of the
+    /// block at position `i` are `children[child_start[i]..child_start[i + 1]]`.
+    child_start: Vec<u32>,
+    children: Vec<BlockId>,
+    /// Dominance frontiers, laid out like the children.
+    frontier_start: Vec<u32>,
+    frontier: Vec<BlockId>,
     entry: BlockId,
 }
 
@@ -34,90 +47,111 @@ impl DomTree {
     pub fn compute(function: &Function) -> DomTree {
         let entry = function.entry();
         let rpo = function.reverse_post_order();
-        let rpo_index: HashMap<BlockId, usize> =
-            rpo.iter().enumerate().map(|(i, b)| (*b, i)).collect();
-        let preds_all = function.predecessors();
-        // Only consider predecessors that are themselves reachable.
-        let preds: HashMap<BlockId, Vec<BlockId>> = rpo
-            .iter()
-            .map(|b| {
-                let ps = preds_all
-                    .get(b)
-                    .map(|v| {
-                        v.iter()
-                            .copied()
-                            .filter(|p| rpo_index.contains_key(p))
-                            .collect::<Vec<_>>()
-                    })
-                    .unwrap_or_default();
-                (*b, ps)
-            })
-            .collect();
+        let n = rpo.len();
+        let slots = function
+            .block_ids()
+            .map(|b| b.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut rpo_index = vec![UNREACHABLE; slots];
+        for (i, b) in rpo.iter().enumerate() {
+            rpo_index[b.index()] = i as u32;
+        }
+        let position = |b: BlockId| {
+            rpo_index
+                .get(b.index())
+                .copied()
+                .filter(|&i| i != UNREACHABLE)
+        };
 
-        let mut idom: HashMap<BlockId, BlockId> = HashMap::new();
-        idom.insert(entry, entry);
+        // Predecessors that are themselves reachable, one entry per edge.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for (i, &b) in rpo.iter().enumerate() {
+            function.for_each_successor(b, |s| {
+                if let Some(j) = position(s) {
+                    edges.push((j, i as u32));
+                }
+            });
+        }
+        let (pred_start, preds) = group_by_first(n, &edges);
+        let preds_of = |b: usize| &preds[pred_start[b] as usize..pred_start[b + 1] as usize];
+
+        let mut idom = vec![UNREACHABLE; n];
+        if n > 0 {
+            idom[0] = 0;
+        }
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[&b] {
-                    if !idom.contains_key(&p) {
+            for b in 1..n {
+                let mut new_idom = UNREACHABLE;
+                for &p in preds_of(b) {
+                    if idom[p as usize] == UNREACHABLE {
                         continue;
                     }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &rpo_index, p, cur),
-                    });
+                    new_idom = if new_idom == UNREACHABLE {
+                        p
+                    } else {
+                        intersect(&idom, p, new_idom)
+                    };
                 }
-                if let Some(ni) = new_idom {
-                    if idom.get(&b) != Some(&ni) {
-                        idom.insert(b, ni);
-                        changed = true;
-                    }
+                if new_idom != UNREACHABLE && idom[b] != new_idom {
+                    idom[b] = new_idom;
+                    changed = true;
                 }
             }
         }
 
-        let mut children: HashMap<BlockId, Vec<BlockId>> =
-            rpo.iter().map(|b| (*b, Vec::new())).collect();
-        for (&b, &d) in &idom {
-            if b != entry {
-                children.entry(d).or_default().push(b);
-            }
-        }
-        for kids in children.values_mut() {
-            kids.sort_by_key(|b| rpo_index[b]);
-        }
+        let tree_edges: Vec<(u32, u32)> = (1..n)
+            .filter(|&b| idom[b] != UNREACHABLE)
+            .map(|b| (idom[b], b as u32))
+            .collect();
+        let (child_start, children) = group_by_first(n, &tree_edges);
+        let children = children.iter().map(|&c| rpo[c as usize]).collect();
 
-        // Dominance frontiers (Cytron et al. via the CHK formulation).
-        let mut frontier: HashMap<BlockId, Vec<BlockId>> =
-            rpo.iter().map(|b| (*b, Vec::new())).collect();
-        for &b in &rpo {
-            let ps = &preds[&b];
+        // Dominance frontiers (Cytron et al. via the CHK formulation). Each
+        // block's frontier grows in reverse post-order, so a block already
+        // in it is its last entry.
+        let mut frontier_edges: Vec<(u32, u32)> = Vec::new();
+        let mut last_added = vec![UNREACHABLE; n];
+        for b in 0..n {
+            let ps = preds_of(b);
             if ps.len() < 2 {
                 continue;
             }
             for &p in ps {
                 let mut runner = p;
-                while runner != idom[&b] {
-                    let entry_vec = frontier.entry(runner).or_default();
-                    if !entry_vec.contains(&b) {
-                        entry_vec.push(b);
+                while runner != idom[b] {
+                    if last_added[runner as usize] != b as u32 {
+                        last_added[runner as usize] = b as u32;
+                        frontier_edges.push((runner, b as u32));
                     }
-                    runner = idom[&runner];
+                    runner = idom[runner as usize];
                 }
             }
         }
+        let (frontier_start, frontier) = group_by_first(n, &frontier_edges);
+        let frontier = frontier.iter().map(|&f| rpo[f as usize]).collect();
 
         DomTree {
-            idom,
-            children,
-            frontier,
             rpo,
             rpo_index,
+            idom,
+            child_start,
+            children,
+            frontier_start,
+            frontier,
             entry,
         }
+    }
+
+    /// Position of `block` in the reverse post-order, if it is reachable.
+    fn position(&self, block: BlockId) -> Option<usize> {
+        self.rpo_index
+            .get(block.index())
+            .copied()
+            .filter(|&i| i != UNREACHABLE)
+            .map(|i| i as usize)
     }
 
     /// The entry block.
@@ -132,45 +166,47 @@ impl DomTree {
 
     /// Returns `true` when `block` is reachable from the entry.
     pub fn is_reachable(&self, block: BlockId) -> bool {
-        self.rpo_index.contains_key(&block)
+        self.position(block).is_some()
     }
 
     /// Immediate dominator of a reachable block (`None` for the entry or for
     /// unreachable blocks).
     pub fn idom(&self, block: BlockId) -> Option<BlockId> {
-        let d = *self.idom.get(&block)?;
-        if d == block {
-            None
-        } else {
-            Some(d)
-        }
+        let b = self.position(block)?;
+        let d = self.idom[b] as usize;
+        (d != b).then(|| self.rpo[d])
     }
 
     /// Children of `block` in the dominator tree.
     pub fn children(&self, block: BlockId) -> &[BlockId] {
-        self.children.get(&block).map(Vec::as_slice).unwrap_or(&[])
+        match self.position(block) {
+            Some(b) => {
+                &self.children[self.child_start[b] as usize..self.child_start[b + 1] as usize]
+            }
+            None => &[],
+        }
     }
 
     /// Dominance frontier of `block`.
     pub fn frontier(&self, block: BlockId) -> &[BlockId] {
-        self.frontier.get(&block).map(Vec::as_slice).unwrap_or(&[])
+        match self.position(block) {
+            Some(b) => {
+                &self.frontier[self.frontier_start[b] as usize..self.frontier_start[b + 1] as usize]
+            }
+            None => &[],
+        }
     }
 
     /// Returns `true` when `a` dominates `b` (reflexive).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if !self.is_reachable(a) || !self.is_reachable(b) {
+        let (Some(a), Some(mut cur)) = (self.position(a), self.position(b)) else {
             return false;
+        };
+        // A dominator precedes the blocks it dominates in reverse post-order.
+        while cur > a {
+            cur = self.idom[cur] as usize;
         }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom(cur) {
-                Some(next) => cur = next,
-                None => return false,
-            }
-        }
+        cur == a
     }
 
     /// Returns `true` when `a` strictly dominates `b`.
@@ -204,41 +240,57 @@ impl DomTree {
     ) -> bool {
         let def_block = function.inst(def).block;
         if def_block != user_block {
-            return self.strictly_dominates(def_block, user_block)
-                || self.dominates(def_block, user_block);
+            return self.dominates(def_block, user_block);
         }
         // Same block: rely on intra-block ordering. Phis implicitly precede
-        // every ordinary instruction.
-        let block = function.block(def_block);
-        let order: Vec<InstId> = block.all_insts().collect();
-        let def_pos = order.iter().position(|i| *i == def);
-        let use_pos = order.iter().position(|i| *i == user);
-        match (def_pos, use_pos) {
-            (Some(d), Some(u)) => d < u,
-            // If the user is not in this block (e.g. a phi use routed through a
-            // predecessor), the definition reaches the block end and therefore
-            // the use.
-            (Some(_), None) => true,
-            _ => false,
+        // every ordinary instruction. Whichever of the two comes first
+        // decides; a definition that reaches the block end also reaches a
+        // user that is not in this block (a phi use routed through a
+        // predecessor).
+        for inst in function.block(def_block).all_insts() {
+            if inst == user {
+                return false;
+            }
+            if inst == def {
+                return true;
+            }
         }
+        false
     }
 }
 
-fn intersect(
-    idom: &HashMap<BlockId, BlockId>,
-    rpo_index: &HashMap<BlockId, usize>,
-    mut a: BlockId,
-    mut b: BlockId,
-) -> BlockId {
+/// The nearest common dominator of two positions, given the dominators
+/// found so far.
+fn intersect(idom: &[u32], mut a: u32, mut b: u32) -> u32 {
     while a != b {
-        while rpo_index[&a] > rpo_index[&b] {
-            a = idom[&a];
+        while a > b {
+            a = idom[a as usize];
         }
-        while rpo_index[&b] > rpo_index[&a] {
-            b = idom[&b];
+        while b > a {
+            b = idom[b as usize];
         }
     }
     a
+}
+
+/// Groups `(key, value)` pairs with keys below `n` by key, keeping their
+/// order within each key: the values of key `k` are
+/// `values[start[k]..start[k + 1]]`.
+fn group_by_first(n: usize, pairs: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; n + 1];
+    for &(k, _) in pairs {
+        start[k as usize + 1] += 1;
+    }
+    for k in 0..n {
+        start[k + 1] += start[k];
+    }
+    let mut next = start.clone();
+    let mut values = vec![0u32; pairs.len()];
+    for &(k, v) in pairs {
+        values[next[k as usize] as usize] = v;
+        next[k as usize] += 1;
+    }
+    (start, values)
 }
 
 /// Computes the set of blocks where phi-nodes are required for a variable

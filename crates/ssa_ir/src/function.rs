@@ -5,7 +5,7 @@ use crate::instruction::{InstData, InstKind};
 use crate::types::Type;
 use crate::value::Value;
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -313,18 +313,53 @@ impl Function {
         id
     }
 
-    /// Removes a block and all of its instructions. The caller is responsible
-    /// for ensuring no other block still branches to it.
-    pub fn remove_block(&mut self, block: BlockId) {
+    /// Removes every block of `dead` and the instructions still listed in
+    /// them, with one pass over the layout order. The caller is responsible
+    /// for ensuring no remaining block still branches to them.
+    pub fn remove_blocks(&mut self, dead: &HashSet<BlockId>) {
+        if dead.is_empty() {
+            return;
+        }
         self.invalidate_structural_key();
-        if let Some(data) = self.blocks.remove(block) {
-            for inst in data.all_insts() {
-                self.insts.remove(inst);
+        for &block in dead {
+            if let Some(data) = self.blocks.remove(block) {
+                for inst in data.all_insts() {
+                    self.insts.remove(inst);
+                }
             }
-            self.block_order.retain(|b| *b != block);
-            if self.entry == Some(block) {
-                self.entry = self.block_order.first().copied();
+        }
+        self.block_order.retain(|b| !dead.contains(b));
+        if self.entry.is_some_and(|e| dead.contains(&e)) {
+            self.entry = self.block_order.first().copied();
+        }
+    }
+
+    /// Removes every instruction of `dead` from its block and from the
+    /// arena: the bulk form of [`Function::remove_inst`], with one pass over
+    /// each affected block's lists instead of one per instruction.
+    pub fn remove_insts(&mut self, dead: &[InstId]) {
+        if dead.is_empty() {
+            return;
+        }
+        self.invalidate_structural_key();
+        let dead: HashSet<InstId> = dead.iter().copied().collect();
+        let mut blocks: Vec<BlockId> = dead
+            .iter()
+            .filter_map(|&inst| self.insts.get(inst).map(|data| data.block))
+            .collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        for block in blocks {
+            if let Some(data) = self.blocks.get_mut(block) {
+                data.phis.retain(|i| !dead.contains(i));
+                data.insts.retain(|i| !dead.contains(i));
+                if data.term.is_some_and(|t| dead.contains(&t)) {
+                    data.term = None;
+                }
             }
+        }
+        for inst in dead {
+            self.insts.remove(inst);
         }
     }
 
@@ -494,9 +529,16 @@ impl Function {
     /// Successor blocks of `block`, in terminator order. Blocks without a
     /// terminator have no successors.
     pub fn successors(&self, block: BlockId) -> Vec<BlockId> {
-        match self.block(block).term {
-            Some(term) => self.inst(term).kind.successors(),
-            None => Vec::new(),
+        let mut out = Vec::new();
+        self.for_each_successor(block, |s| out.push(s));
+        out
+    }
+
+    /// Calls `f` on each successor of `block`, in [`Function::successors`]
+    /// order, without collecting them.
+    pub fn for_each_successor(&self, block: BlockId, f: impl FnMut(BlockId)) {
+        if let Some(term) = self.block(block).term {
+            self.inst(term).kind.for_each_successor(f);
         }
     }
 
@@ -507,9 +549,7 @@ impl Function {
         let mut preds: HashMap<BlockId, Vec<BlockId>> =
             self.block_ids().map(|b| (b, Vec::new())).collect();
         for b in self.block_ids() {
-            for s in self.successors(b) {
-                preds.entry(s).or_default().push(b);
-            }
+            self.for_each_successor(b, |s| preds.entry(s).or_default().push(b));
         }
         preds
     }
@@ -523,12 +563,22 @@ impl Function {
     /// Replaces every use of `from` with `to` in all instructions.
     /// Returns the number of operand slots rewritten.
     pub fn replace_all_uses(&mut self, from: Value, to: Value) -> usize {
-        let ids: Vec<InstId> = self.insts.ids().collect();
-        let mut count = 0;
-        for id in ids {
-            count += self.inst_mut(id).kind.replace_value(from, to);
+        self.invalidate_structural_key();
+        self.insts
+            .values_mut()
+            .map(|data| data.kind.replace_value(from, to))
+            .sum()
+    }
+
+    /// Rewrites every value operand of every instruction through `map`, in
+    /// one pass over the instruction arena. Passes that retire many values
+    /// at once collect a substitution and apply it here once, instead of one
+    /// [`Function::replace_all_uses`] scan per retired value.
+    pub fn rewrite_values(&mut self, mut map: impl FnMut(Value) -> Value) {
+        self.invalidate_structural_key();
+        for data in self.insts.values_mut() {
+            data.kind.for_each_operand_mut(|v| *v = map(*v));
         }
-        count
     }
 
     /// Returns the users (instructions that reference `value` as an operand).
@@ -548,16 +598,31 @@ impl Function {
         users
     }
 
-    /// Rewrites every reference to block `from` (in terminators and phi
-    /// incoming lists) to refer to `to`.
-    pub fn replace_block_refs(&mut self, from: BlockId, to: BlockId) {
-        let ids: Vec<InstId> = self.insts.ids().collect();
-        for id in ids {
-            self.inst_mut(id).kind.for_each_block_ref_mut(|b| {
-                if *b == from {
-                    *b = to;
+    /// The users of each definition in `defs`, collected in one pass over
+    /// the instruction arena: each list is what [`Function::users_of`] gives
+    /// for that definition.
+    pub fn users_of_all(&self, defs: &[InstId]) -> HashMap<InstId, Vec<InstId>> {
+        let mut users: HashMap<InstId, Vec<InstId>> =
+            defs.iter().map(|&def| (def, Vec::new())).collect();
+        for (id, data) in self.insts.iter() {
+            data.kind.for_each_operand(|v| {
+                if let Some(list) = v.as_inst().and_then(|def| users.get_mut(&def)) {
+                    if list.last() != Some(&id) {
+                        list.push(id);
+                    }
                 }
             });
+        }
+        users
+    }
+
+    /// Rewrites every block reference (terminator successors and phi
+    /// incoming blocks) through `map`, in one pass over the instruction
+    /// arena.
+    pub fn rewrite_block_refs(&mut self, mut map: impl FnMut(BlockId) -> BlockId) {
+        self.invalidate_structural_key();
+        for data in self.insts.values_mut() {
+            data.kind.for_each_block_ref_mut(|b| *b = map(*b));
         }
     }
 
@@ -575,6 +640,7 @@ impl Function {
             Exit(BlockId),
         }
         let mut stack = vec![Frame::Enter(entry)];
+        let mut succs = Vec::new();
         while let Some(frame) = stack.pop() {
             match frame {
                 Frame::Enter(b) => {
@@ -582,8 +648,9 @@ impl Function {
                         continue;
                     }
                     stack.push(Frame::Exit(b));
-                    let succs = self.successors(b);
-                    for s in succs.into_iter().rev() {
+                    succs.clear();
+                    self.for_each_successor(b, |s| succs.push(s));
+                    for &s in succs.iter().rev() {
                         if !visited.contains(&s) {
                             stack.push(Frame::Enter(s));
                         }
@@ -791,7 +858,7 @@ mod tests {
         let mut f = sample();
         let exit = f.block_by_name("exit").unwrap();
         let count_before = f.num_insts();
-        f.remove_block(exit);
+        f.remove_blocks(&HashSet::from([exit]));
         assert_eq!(f.num_blocks(), 1);
         assert_eq!(f.num_insts(), count_before - 1);
     }

@@ -138,6 +138,11 @@ impl<I: EntityId, T> Arena<I, T> {
             .filter_map(|(i, slot)| slot.as_ref().map(|v| (I::from_index(i), v)))
     }
 
+    /// Iterates mutably over the live entities in allocation order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> + '_ {
+        self.slots.iter_mut().filter_map(Option::as_mut)
+    }
+
     /// Iterates over the ids of live entities in allocation order.
     pub fn ids(&self) -> impl Iterator<Item = I> + '_ {
         self.slots

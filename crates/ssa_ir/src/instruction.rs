@@ -472,18 +472,33 @@ impl InstKind {
     /// The successor blocks referenced by this instruction (terminators and
     /// phi-node incoming blocks reference blocks).
     pub fn successors(&self) -> Vec<BlockId> {
+        let mut out = Vec::new();
+        self.for_each_successor(|b| out.push(b));
+        out
+    }
+
+    /// Calls `f` on each successor block, in [`InstKind::successors`] order,
+    /// without collecting them.
+    pub fn for_each_successor(&self, mut f: impl FnMut(BlockId)) {
         match self {
-            InstKind::Br { dest } => vec![*dest],
+            InstKind::Br { dest } => f(*dest),
             InstKind::CondBr {
                 if_true, if_false, ..
-            } => vec![*if_true, *if_false],
-            InstKind::Switch { default, cases, .. } => {
-                let mut out = vec![*default];
-                out.extend(cases.iter().map(|(_, b)| *b));
-                out
+            } => {
+                f(*if_true);
+                f(*if_false);
             }
-            InstKind::Invoke { normal, unwind, .. } => vec![*normal, *unwind],
-            _ => Vec::new(),
+            InstKind::Switch { default, cases, .. } => {
+                f(*default);
+                for (_, b) in cases {
+                    f(*b);
+                }
+            }
+            InstKind::Invoke { normal, unwind, .. } => {
+                f(*normal);
+                f(*unwind);
+            }
+            _ => {}
         }
     }
 

@@ -13,7 +13,8 @@ use crate::module::Module;
 use crate::printer::Namer;
 use crate::types::Type;
 use crate::value::Value;
-use std::collections::HashSet;
+use std::cell::OnceCell;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Stable diagnostic codes assigned to verifier failures. The `analysis`
@@ -86,7 +87,7 @@ pub fn verify_module(module: &Module) -> Vec<VerifyError> {
 pub fn verify_function(function: &Function) -> Vec<VerifyError> {
     let mut v = Verifier {
         function,
-        namer: Namer::new(function),
+        namer: OnceCell::new(),
         errors: Vec::new(),
     };
     v.run();
@@ -114,11 +115,16 @@ pub fn assert_valid(function: &Function) {
 
 struct Verifier<'a> {
     function: &'a Function,
-    namer: Namer,
+    /// Printer names, read only to report an error: built on the first one.
+    namer: OnceCell<Namer>,
     errors: Vec<VerifyError>,
 }
 
 impl<'a> Verifier<'a> {
+    fn namer(&self) -> &Namer {
+        self.namer.get_or_init(|| Namer::new(self.function))
+    }
+
     fn error(&mut self, code: &'static str, message: String) {
         self.errors.push(VerifyError {
             function: self.function.name.clone(),
@@ -133,16 +139,16 @@ impl<'a> Verifier<'a> {
             self.error(codes::NO_ENTRY, "function has no entry block".into());
             return;
         }
-        self.check_blocks();
+        let preds = self.function.predecessors();
+        self.check_blocks(&preds);
         self.check_instructions();
-        self.check_phis();
+        self.check_phis(&preds);
         self.check_landing_pads();
         self.check_dominance();
     }
 
-    fn check_blocks(&mut self) {
+    fn check_blocks(&mut self, preds: &HashMap<BlockId, Vec<BlockId>>) {
         let entry = self.function.entry();
-        let preds = self.function.predecessors();
         if !preds.get(&entry).map(Vec::is_empty).unwrap_or(true) {
             self.error(codes::CFG, "entry block must not have predecessors".into());
         }
@@ -154,7 +160,10 @@ impl<'a> Verifier<'a> {
             if data.term.is_none() {
                 self.error(
                     codes::CFG,
-                    format!("block %{} has no terminator", self.namer.block_name(block)),
+                    format!(
+                        "block %{} has no terminator",
+                        self.namer().block_name(block)
+                    ),
                 );
             }
             for inst in data.all_insts() {
@@ -163,7 +172,7 @@ impl<'a> Verifier<'a> {
                         codes::CFG,
                         format!(
                             "block %{} references a removed instruction",
-                            self.namer.block_name(block)
+                            self.namer().block_name(block)
                         ),
                     );
                     continue;
@@ -173,7 +182,7 @@ impl<'a> Verifier<'a> {
                         codes::CFG,
                         format!(
                             "instruction %{} parent pointer disagrees with its containing block",
-                            self.namer.inst_name(inst)
+                            self.namer().inst_name(inst)
                         ),
                     );
                 }
@@ -184,8 +193,8 @@ impl<'a> Verifier<'a> {
                         codes::CFG,
                         format!(
                             "non-phi instruction %{} stored in phi list of %{}",
-                            self.namer.inst_name(phi),
-                            self.namer.block_name(block)
+                            self.namer().inst_name(phi),
+                            self.namer().block_name(block)
                         ),
                     );
                 }
@@ -200,7 +209,7 @@ impl<'a> Verifier<'a> {
                         codes::CFG,
                         format!(
                             "phi or terminator stored in the body of %{}",
-                            self.namer.block_name(block)
+                            self.namer().block_name(block)
                         ),
                     );
                 }
@@ -213,7 +222,7 @@ impl<'a> Verifier<'a> {
                         codes::CFG,
                         format!(
                             "terminator slot of %{} holds a non-terminator",
-                            self.namer.block_name(block)
+                            self.namer().block_name(block)
                         ),
                     );
                 }
@@ -227,7 +236,7 @@ impl<'a> Verifier<'a> {
                         codes::CFG,
                         format!(
                             "%{} branches to a removed block",
-                            self.namer.block_name(block)
+                            self.namer().block_name(block)
                         ),
                     );
                 }
@@ -268,7 +277,7 @@ impl<'a> Verifier<'a> {
                 codes::DANGLING_VALUE,
                 format!(
                     "instruction %{} uses a dangling value {v:?}",
-                    self.namer.inst_name(inst)
+                    self.namer().inst_name(inst)
                 ),
             );
         }
@@ -413,13 +422,12 @@ impl<'a> Verifier<'a> {
         for p in problems {
             self.error(
                 codes::TYPES,
-                format!("%{}: {}", self.namer.inst_name(inst), p),
+                format!("%{}: {}", self.namer().inst_name(inst), p),
             );
         }
     }
 
-    fn check_phis(&mut self) {
-        let preds = self.function.predecessors();
+    fn check_phis(&mut self, preds: &HashMap<BlockId, Vec<BlockId>>) {
         for block in self.function.block_ids() {
             let expected: HashSet<BlockId> = preds
                 .get(&block)
@@ -439,17 +447,17 @@ impl<'a> Verifier<'a> {
                             codes::PHI,
                             format!(
                                 "phi %{} lists predecessor %{} twice",
-                                self.namer.inst_name(phi),
-                                self.namer.block_name(*pred)
+                                self.namer().inst_name(phi),
+                                self.namer().block_name(*pred)
                             ),
                         );
                     }
                     if !expected.contains(pred) {
                         self.error(codes::PHI, format!(
                             "phi %{} has an incoming edge from %{} which is not a predecessor of %{}",
-                            self.namer.inst_name(phi),
-                            self.namer.block_name(*pred),
-                            self.namer.block_name(block)
+                            self.namer().inst_name(phi),
+                            self.namer().block_name(*pred),
+                            self.namer().block_name(block)
                         ));
                     }
                 }
@@ -459,8 +467,8 @@ impl<'a> Verifier<'a> {
                             codes::PHI,
                             format!(
                                 "phi %{} is missing an incoming value for predecessor %{}",
-                                self.namer.inst_name(phi),
-                                self.namer.block_name(*pred)
+                                self.namer().inst_name(phi),
+                                self.namer().block_name(*pred)
                             ),
                         );
                     }
@@ -492,8 +500,8 @@ impl<'a> Verifier<'a> {
                             codes::LANDING_PAD,
                             format!(
                                 "landingpad %{} is not the first non-phi instruction of %{}",
-                                self.namer.inst_name(inst),
-                                self.namer.block_name(block)
+                                self.namer().inst_name(inst),
+                                self.namer().block_name(block)
                             ),
                         );
                     }
@@ -502,7 +510,7 @@ impl<'a> Verifier<'a> {
                             codes::LANDING_PAD,
                             format!(
                                 "landingpad block %{} is not the unwind destination of any invoke",
-                                self.namer.block_name(block)
+                                self.namer().block_name(block)
                             ),
                         );
                     }
@@ -525,7 +533,7 @@ impl<'a> Verifier<'a> {
                     codes::LANDING_PAD,
                     format!(
                         "unwind destination %{} does not start with a landingpad",
-                        self.namer.block_name(block)
+                        self.namer().block_name(block)
                     ),
                 );
             }
@@ -533,67 +541,59 @@ impl<'a> Verifier<'a> {
     }
 
     fn check_dominance(&mut self) {
-        let domtree = DomTree::compute(self.function);
-        let preds = self.function.predecessors();
-        for block in self.function.block_ids() {
+        let function = self.function;
+        let domtree = DomTree::compute(function);
+        for block in function.block_ids() {
             if !domtree.is_reachable(block) {
                 continue;
             }
-            let data = self.function.block(block);
-            for inst in data.all_insts().collect::<Vec<_>>() {
-                if !self.function.contains_inst(inst) {
+            for inst in function.block(block).all_insts() {
+                if !function.contains_inst(inst) {
                     continue;
                 }
-                let kind = self.function.inst(inst).kind.clone();
-                if let InstKind::Phi { incomings } = &kind {
-                    for (value, pred) in incomings {
+                let kind = &function.inst(inst).kind;
+                if let InstKind::Phi { incomings } = kind {
+                    for &(value, pred) in incomings {
                         if let Value::Inst(def) = value {
-                            if !self.function.contains_inst(*def) {
+                            if !function.contains_inst(def) {
                                 continue;
                             }
                             // A phi use happens at the end of the predecessor.
-                            if domtree.is_reachable(*pred)
-                                && !domtree.def_dominates_use(self.function, *def, inst, *pred)
-                                && self.function.inst(*def).block != *pred
+                            if domtree.is_reachable(pred)
+                                && !domtree.def_dominates_use(function, def, inst, pred)
+                                && function.inst(def).block != pred
                             {
-                                let db = self.function.inst(*def).block;
-                                if !domtree.dominates(db, *pred) {
+                                let db = function.inst(def).block;
+                                if !domtree.dominates(db, pred) {
                                     self.error(codes::DOMINANCE, format!(
                                         "phi %{} incoming value %{} does not dominate predecessor %{}",
-                                        self.namer.inst_name(inst),
-                                        self.namer.inst_name(*def),
-                                        self.namer.block_name(*pred)
+                                        self.namer().inst_name(inst),
+                                        self.namer().inst_name(def),
+                                        self.namer().block_name(pred)
                                     ));
                                 }
                             }
                         }
                     }
                 } else {
-                    let mut used = Vec::new();
                     kind.for_each_operand(|v| {
-                        if let Value::Inst(def) = v {
-                            used.push(def);
-                        }
-                    });
-                    for def in used {
-                        if !self.function.contains_inst(def) {
-                            continue;
-                        }
-                        if !domtree.def_dominates_use(self.function, def, inst, block) {
+                        let Value::Inst(def) = v else { return };
+                        if function.contains_inst(def)
+                            && !domtree.def_dominates_use(function, def, inst, block)
+                        {
                             self.error(
                                 codes::DOMINANCE,
                                 format!(
                                 "use of %{} in %{} (block %{}) is not dominated by its definition",
-                                self.namer.inst_name(def),
-                                self.namer.inst_name(inst),
-                                self.namer.block_name(block)
+                                self.namer().inst_name(def),
+                                self.namer().inst_name(inst),
+                                self.namer().block_name(block)
                             ),
                             );
                         }
-                    }
+                    });
                 }
             }
-            let _ = &preds;
         }
     }
 }

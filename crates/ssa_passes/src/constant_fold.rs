@@ -3,36 +3,39 @@
 //! Part of the "Simplification" clean-up stage that both FMSA and SalSSA run
 //! after code generation (Figure 1 of the paper).
 
+use crate::subst::ValueSubst;
 use ssa_ir::{BinOp, Constant, Function, ICmpPred, InstId, InstKind, Type, Value};
 
 /// Folds constant expressions and trivial algebraic identities. Returns the
 /// number of instructions replaced by constants or simpler values.
+///
+/// Each sweep reads operands through the folds made so far and rewrites the
+/// function once at its end.
 pub fn fold_constants(function: &mut Function) -> usize {
     let mut folded = 0;
     loop {
-        let mut changed = false;
-        let insts: Vec<InstId> = function
-            .block_ids()
-            .flat_map(|b| function.block(b).all_insts().collect::<Vec<_>>())
-            .collect();
-        for inst in insts {
-            if !function.contains_inst(inst) {
-                continue;
-            }
-            let data = function.inst(inst);
-            if !data.ty.is_first_class() {
-                continue;
-            }
-            if let Some(value) = fold_inst(function, &data.kind, data.ty) {
-                function.replace_all_uses(Value::Inst(inst), value);
-                function.remove_inst(inst);
-                folded += 1;
-                changed = true;
+        let mut subst = ValueSubst::default();
+        let mut dead: Vec<InstId> = Vec::new();
+        for block in function.block_ids() {
+            for inst in function.block(block).all_insts() {
+                let data = function.inst(inst);
+                if !data.ty.is_first_class() {
+                    continue;
+                }
+                if let Some(value) = fold_inst(function, &data.kind, data.ty, &subst) {
+                    if value != Value::Inst(inst) {
+                        subst.insert(inst, value);
+                    }
+                    dead.push(inst);
+                }
             }
         }
-        if !changed {
+        if dead.is_empty() {
             return folded;
         }
+        subst.apply(function);
+        function.remove_insts(&dead);
+        folded += dead.len();
     }
 }
 
@@ -62,26 +65,29 @@ fn mask(bits: u16, value: i64) -> i64 {
     }
 }
 
-fn fold_inst(function: &Function, kind: &InstKind, ty: Type) -> Option<Value> {
+/// Folds `kind`, reading each operand through the folds `subst` holds.
+fn fold_inst(function: &Function, kind: &InstKind, ty: Type, subst: &ValueSubst) -> Option<Value> {
+    let read = |value: &Value| subst.resolve(*value);
     match kind {
-        InstKind::Binary { op, lhs, rhs } => fold_binary(function, *op, *lhs, *rhs, ty),
-        InstKind::ICmp { pred, lhs, rhs } => fold_icmp(function, *pred, *lhs, *rhs),
+        InstKind::Binary { op, lhs, rhs } => fold_binary(function, *op, read(lhs), read(rhs), ty),
+        InstKind::ICmp { pred, lhs, rhs } => fold_icmp(function, *pred, read(lhs), read(rhs)),
         InstKind::Select {
             cond,
             if_true,
             if_false,
         } => {
+            let (if_true, if_false) = (read(if_true), read(if_false));
             if if_true == if_false {
-                return Some(*if_true);
+                return Some(if_true);
             }
-            match cond {
+            match read(cond) {
                 Value::Const(Constant::Int { value, .. }) => {
-                    Some(if *value != 0 { *if_true } else { *if_false })
+                    Some(if value != 0 { if_true } else { if_false })
                 }
                 _ => None,
             }
         }
-        InstKind::Cast { kind, value } => fold_cast(function, *kind, *value, ty),
+        InstKind::Cast { kind, value } => fold_cast(function, *kind, read(value), ty),
         InstKind::Phi { .. } => None,
         _ => None,
     }

@@ -2,42 +2,64 @@
 //! are never used, iterating to a fixed point.
 
 use ssa_ir::{Function, InstId, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Removes dead instructions. Returns the number of instructions removed.
+///
+/// Uses are counted once; removing an instruction releases its operands, and
+/// an operand left without uses is removed in turn, which reaches the same
+/// fixed point as re-counting after every round of removals.
 pub fn eliminate_dead_code(function: &mut Function) -> usize {
-    let mut removed_total = 0;
-    loop {
-        // Count uses of every instruction result.
-        let mut use_counts: HashMap<InstId, usize> = HashMap::new();
-        let mut all: Vec<InstId> = Vec::new();
-        for block in function.block_ids() {
-            for inst in function.block(block).all_insts() {
-                all.push(inst);
-                function.inst(inst).kind.for_each_operand(|v| {
-                    if let Value::Inst(d) = v {
-                        *use_counts.entry(d).or_insert(0) += 1;
-                    }
-                });
-            }
-        }
-        let dead: Vec<InstId> = all
-            .into_iter()
-            .filter(|&inst| {
-                let data = function.inst(inst);
-                data.ty.is_first_class()
-                    && !data.kind.has_side_effects()
-                    && use_counts.get(&inst).copied().unwrap_or(0) == 0
-            })
-            .collect();
-        if dead.is_empty() {
-            return removed_total;
-        }
-        for inst in dead {
-            function.remove_inst(inst);
-            removed_total += 1;
-        }
+    let all: Vec<InstId> = function
+        .block_ids()
+        .flat_map(|b| function.block(b).all_insts())
+        .collect();
+    // Tables indexed by instruction id; only instructions listed in a block
+    // are candidates, and only their results are counted.
+    let slots = all
+        .iter()
+        .map(|i| i.as_u32() as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut listed = vec![false; slots];
+    for inst in &all {
+        listed[inst.as_u32() as usize] = true;
     }
+    let mut uses = vec![0u32; slots];
+    for &inst in &all {
+        function.inst(inst).kind.for_each_operand(|v| {
+            if let Value::Inst(d) = v {
+                if let Some(n) = uses.get_mut(d.as_u32() as usize) {
+                    *n += 1;
+                }
+            }
+        });
+    }
+    let removable = |function: &Function, inst: InstId| {
+        let data = function.inst(inst);
+        data.ty.is_first_class() && !data.kind.has_side_effects()
+    };
+    let mut worklist: Vec<InstId> = all
+        .into_iter()
+        .filter(|&inst| uses[inst.as_u32() as usize] == 0 && removable(function, inst))
+        .collect();
+    let mut dead = worklist.clone();
+    while let Some(inst) = worklist.pop() {
+        function.inst(inst).kind.for_each_operand(|v| {
+            let Value::Inst(d) = v else { return };
+            let i = d.as_u32() as usize;
+            let Some(n) = uses.get_mut(i) else { return };
+            *n -= 1;
+            // A listed instruction is dead once it has no uses; it reaches
+            // zero exactly once.
+            if *n == 0 && listed[i] && removable(function, d) {
+                dead.push(d);
+                worklist.push(d);
+            }
+        });
+    }
+    function.remove_insts(&dead);
+    dead.len()
 }
 
 /// Removes blocks that are unreachable from the entry, fixing up phi-nodes in
@@ -63,11 +85,8 @@ pub fn remove_unreachable_blocks(function: &mut Function) -> usize {
             }
         }
     }
-    let count = dead.len();
-    for block in dead {
-        function.remove_block(block);
-    }
-    count
+    function.remove_blocks(&dead_set);
+    dead.len()
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@ pub mod pass_manager;
 pub mod phi_dedup;
 pub mod reg2mem;
 pub mod simplify_cfg;
+mod subst;
 
 pub use codesize::{function_size_bytes, module_size_bytes, reduction_percent, Target};
 pub use mem2reg::{promote_function, Mem2RegStats};

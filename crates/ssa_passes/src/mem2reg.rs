@@ -13,7 +13,18 @@
 //! exclusively by `load` and `store` instructions. This is precisely the
 //! property that the merged stores with `select`-ed addresses violate in the
 //! paper's motivating example, which is why FMSA's promotion often fails.
+//!
+//! ## Cost
+//!
+//! [`promote_slots`] makes one pass to find the slots' loads and stores, builds
+//! one dominator tree, places phis at each slot's iterated dominance frontier,
+//! renames in one walk down the dominator tree, and rewrites the loads' uses
+//! in one pass at the end: O(n + s·b) for n instructions, s slots and b
+//! blocks (the walk carries one current value per slot into every block).
+//! [`promote_function`] first checks each `alloca` with one scan of the
+//! function, so it adds O(n) per `alloca`.
 
+use crate::subst::ValueSubst;
 use ssa_ir::dominators::{iterated_dominance_frontier, DomTree};
 use ssa_ir::{BlockId, Function, InstId, InstKind, Type, Value};
 use std::collections::{HashMap, HashSet};
@@ -95,22 +106,27 @@ fn slot_type(function: &Function, alloca: InstId) -> Type {
 
 /// Runs SSA construction for the given (promotable) slots and removes them.
 /// Returns the number of phi-nodes inserted.
+///
+/// The slots' loads and stores are collected in one pass over the function.
+/// The renaming walk records what each load's uses take and rewrites the
+/// function once after the walk; the promoted accesses and slots are removed
+/// together at the end.
 pub fn promote_slots(function: &mut Function, slots: &[InstId]) -> usize {
     let domtree = DomTree::compute(function);
-    let slot_set: HashSet<InstId> = slots.iter().copied().collect();
     let slot_index: HashMap<InstId, usize> =
         slots.iter().enumerate().map(|(i, s)| (*s, i)).collect();
+
+    let users = function.users_of_all(slots);
 
     // 1. Phi placement at iterated dominance frontiers of the defining blocks.
     let mut phis_for_slot: Vec<HashMap<BlockId, InstId>> = vec![HashMap::new(); slots.len()];
     let mut inserted = 0usize;
     for (idx, &slot) in slots.iter().enumerate() {
-        let mut def_blocks: HashSet<BlockId> = HashSet::new();
-        for user in function.users_of(Value::Inst(slot)) {
-            if matches!(function.inst(user).kind, InstKind::Store { .. }) {
-                def_blocks.insert(function.inst(user).block);
-            }
-        }
+        let mut def_blocks: HashSet<BlockId> = users[&slot]
+            .iter()
+            .filter(|&&user| matches!(function.inst(user).kind, InstKind::Store { .. }))
+            .map(|&user| function.inst(user).block)
+            .collect();
         // The entry block provides the implicit initial (undef) definition.
         def_blocks.insert(function.entry());
         let ty = slot_type(function, slot);
@@ -135,6 +151,8 @@ pub fn promote_slots(function: &mut Function, slots: &[InstId]) -> usize {
     // 2. Renaming walk over the dominator tree.
     let entry = function.entry();
     let preds = function.predecessors();
+    let mut loaded = ValueSubst::default();
+    let mut dead: Vec<InstId> = Vec::new();
     let mut stack: Vec<(BlockId, Vec<Value>)> = vec![(
         entry,
         slots
@@ -147,31 +165,32 @@ pub fn promote_slots(function: &mut Function, slots: &[InstId]) -> usize {
         if !visited.insert(block) {
             continue;
         }
+        let data = function.block(block);
         // Phi results become the current value of their slot.
-        for &phi in &function.block(block).phis.clone() {
-            if let Some(&idx) = phi_owner.get(&phi) {
-                current[idx] = Value::Inst(phi);
+        for phi in &data.phis {
+            if let Some(&idx) = phi_owner.get(phi) {
+                current[idx] = Value::Inst(*phi);
             }
         }
-        // Walk the body: loads are replaced by the current value, stores update
-        // the current value and are removed.
-        let body: Vec<InstId> = function.block(block).insts.clone();
-        for inst in body {
-            match function.inst(inst).kind.clone() {
+        // Walk the body: loads take the current value, stores update the
+        // current value; both go.
+        for &inst in &data.insts {
+            match function.inst(inst).kind {
                 InstKind::Load {
                     ptr: Value::Inst(slot),
-                } if slot_set.contains(&slot) => {
-                    let idx = slot_index[&slot];
-                    function.replace_all_uses(Value::Inst(inst), current[idx]);
-                    function.remove_inst(inst);
+                } if slot_index.contains_key(&slot) => {
+                    let value = loaded.resolve(current[slot_index[&slot]]);
+                    if value != Value::Inst(inst) {
+                        loaded.insert(inst, value);
+                    }
+                    dead.push(inst);
                 }
                 InstKind::Store {
                     value,
                     ptr: Value::Inst(slot),
-                } if slot_set.contains(&slot) => {
-                    let idx = slot_index[&slot];
-                    current[idx] = value;
-                    function.remove_inst(inst);
+                } if slot_index.contains_key(&slot) => {
+                    current[slot_index[&slot]] = loaded.resolve(value);
+                    dead.push(inst);
                 }
                 _ => {}
             }
@@ -213,20 +232,21 @@ pub fn promote_slots(function: &mut Function, slots: &[InstId]) -> usize {
 
     // 4. Remove the now-dead slots. Accesses left in unreachable blocks (never
     // visited by the renaming walk) are cleaned up with undef.
+    let walked: HashSet<InstId> = dead.iter().copied().collect();
     for &slot in slots {
-        for user in function.users_of(Value::Inst(slot)) {
-            let ty = function.inst(user).ty;
-            match function.inst(user).kind {
-                InstKind::Load { .. } => {
-                    function.replace_all_uses(Value::Inst(user), Value::undef(ty));
-                    function.remove_inst(user);
-                }
-                InstKind::Store { .. } => function.remove_inst(user),
+        for &user in users[&slot].iter().filter(|u| !walked.contains(u)) {
+            let data = function.inst(user);
+            match data.kind {
+                InstKind::Load { .. } => loaded.insert(user, Value::undef(data.ty)),
+                InstKind::Store { .. } => {}
                 _ => unreachable!("slot classified as promotable has a non-memory user"),
             }
+            dead.push(user);
         }
-        function.remove_inst(slot);
+        dead.push(slot);
     }
+    loaded.apply(function);
+    function.remove_insts(&dead);
 
     // 5. Prune trivial phis introduced by over-eager placement.
     crate::phi_dedup::simplify_trivial_phis(function);
