@@ -2,8 +2,7 @@
 //! multi-module corpora: index construction, sharded candidate discovery,
 //! structural-key caching on the hazard-check hot path, call-graph
 //! construction/resolution, and the end-to-end xmerge run (plain, with the
-//! semantic oracle, to a fixpoint, and region-parallel with the call-graph
-//! host policy).
+//! semantic oracle, to a fixpoint, and with the call-graph host policy).
 
 use callgraph::{CallGraph, CorpusCallIndex};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -141,12 +140,10 @@ fn end_to_end(c: &mut Criterion) {
             (report.rounds, report.num_commits())
         })
     });
-    group.bench_function("call_heavy_callgraph_policy_regions", |b| {
+    group.bench_function("call_heavy_callgraph_policy", |b| {
         b.iter(|| {
             let mut modules = CorpusSpec::call_heavy().generate();
-            let config = XMergeConfig::new()
-                .with_host_policy(HostPolicy::CallGraph)
-                .with_region_parallel(true);
+            let config = XMergeConfig::new().with_host_policy(HostPolicy::CallGraph);
             let report = xmerge_corpus(&mut modules, &config);
             (report.num_commits(), report.forced_cross_edges)
         })

@@ -18,8 +18,7 @@
 //!   host-selection policy minimizes;
 //! * [`regions`] — **module region partitioning**: connected components over
 //!   cross-module call edges, shared external definitions and candidate
-//!   pairs, giving the pipeline independently committable sub-programs it can
-//!   plan in parallel.
+//!   pairs, splitting the corpus into independent sub-programs.
 //!
 //! ## Example
 //!

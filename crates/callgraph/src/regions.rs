@@ -5,8 +5,8 @@
 //! shared externally visible definition binds them (the ODR hazard rules look
 //! across modules), and a discovered candidate pair binds them (the commit
 //! itself would couple them). Connected regions partition the corpus into
-//! independent sub-programs the merge pipeline can plan and commit in
-//! parallel without changing any individual region's result.
+//! independent sub-programs; the merge pipeline and `salssa callgraph` report
+//! how many there are.
 
 /// Partitions `num_modules` modules into connected regions under the given
 /// undirected links (module-index pairs; out-of-range indices panic).

@@ -10,8 +10,7 @@
 //! - `xmerge <dir>` — cross-module merging over a corpus: sharded candidate
 //!   discovery over the index, speculative parallel scoring, profit-ordered
 //!   commits with donor-side thunks (`--out-dir` writes merged modules;
-//!   `--host-policy callgraph` places merged bodies by call-graph locality,
-//!   `--regions` plans independent call-graph regions in parallel).
+//!   `--host-policy callgraph` places merged bodies by call-graph locality).
 //! - `callgraph <dir>` — build and summarize the whole-program call graph
 //!   (direct-call edges, SCCs, locality, regions; `--out` serializes it).
 //! - `report <dir|files...>` — per-module merge statistics, `--json` for the
@@ -133,8 +132,6 @@ options:
                          larger function hosts, default) or 'callgraph' (the
                          less-coupled member donates, minimizing call edges
                          forced cross-module)
-      --regions          xmerge: plan and commit independent call-graph
-                         regions on worker threads
       --paranoid         merge/xmerge: re-run the static analyzer after every
                          committed merge and report diagnostics the run
                          introduced (observational; commits are unchanged)
@@ -209,7 +206,6 @@ struct Cli {
     max_rounds: usize,
     index: Option<String>,
     host_policy: HostPolicy,
-    regions: bool,
     deny: Vec<String>,
     only: Vec<String>,
     trace_out: Option<String>,
@@ -241,7 +237,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut max_rounds = 4usize;
     let mut index: Option<String> = None;
     let mut host_policy = HostPolicy::default();
-    let mut regions = false;
     let mut deny: Vec<String> = Vec::new();
     let mut only: Vec<String> = Vec::new();
     let mut trace_out: Option<String> = None;
@@ -313,7 +308,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--index" => index = Some(value_for(arg)?),
             "--host-policy" => host_policy = value_for(arg)?.parse()?,
-            "--regions" => regions = true,
             "--paranoid" => config.paranoid = true,
             "--deny" => deny.push(value_for(arg)?),
             "--only" => only.push(value_for(arg)?),
@@ -420,7 +414,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         max_rounds,
         index,
         host_policy,
-        regions,
         deny,
         only,
         trace_out,
@@ -747,7 +740,6 @@ fn xmerge_config(cli: &Cli) -> XMergeConfig {
     let mut config = XMergeConfig::new()
         .with_check_semantics(cli.config.check_semantics)
         .with_host_policy(cli.host_policy)
-        .with_region_parallel(cli.regions)
         .with_paranoid(cli.config.paranoid)
         .with_prefilter(cli.config.prefilter)
         .with_oracle_fuel(cli.config.oracle_fuel);

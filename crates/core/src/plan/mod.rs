@@ -57,20 +57,9 @@ pub struct PlanStats {
     pub rounds: usize,
     /// Whole-program links performed for the differential oracle (maintained
     /// by sources whose oracle interrogates a *linked* view, like the
-    /// cross-module pipeline; 0 when the oracle is off or needs no link). The
-    /// per-round link cache exists to keep this number well below one link
-    /// per oracle run.
+    /// cross-module pipeline, which links a before and an after program per
+    /// oracle run; 0 when the oracle is off or needs no link).
     pub oracle_links: usize,
-    /// Oracle before-programs served from the cross-round carry cache —
-    /// (host, donor) module pairs whose content hashes no commit touched
-    /// since the pair was last linked — instead of re-linking (maintained by
-    /// the cross-module source; 0 elsewhere).
-    pub oracle_carried: usize,
-    /// Hazard verdicts reused from the plan-time pre-scan because the
-    /// candidate pair's call-graph condensation components were unaffected
-    /// by prior commits in the round (maintained by the cross-module source;
-    /// 0 elsewhere).
-    pub hazard_reuse: usize,
     /// Commit-loop candidates run through [`CandidateSource::prefilter`].
     pub prefilter_checked: usize,
     /// Candidates the admissible pre-filter proved unprofitable, skipped
@@ -99,8 +88,6 @@ impl PlanStats {
         self.inline_scores += other.inline_scores;
         self.rounds += other.rounds.max(1);
         self.oracle_links += other.oracle_links;
-        self.oracle_carried += other.oracle_carried;
-        self.hazard_reuse += other.hazard_reuse;
         self.prefilter_checked += other.prefilter_checked;
         self.prefilter_rejected += other.prefilter_rejected;
         self.internal_errors += other.internal_errors;

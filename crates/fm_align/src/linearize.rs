@@ -25,14 +25,6 @@ impl SeqEntry {
             SeqEntry::Label(_) => None,
         }
     }
-
-    /// Returns the block id if this entry is a label.
-    pub fn as_label(self) -> Option<BlockId> {
-        match self {
-            SeqEntry::Label(b) => Some(b),
-            SeqEntry::Inst(_) => None,
-        }
-    }
 }
 
 /// Linearizes a function into labels and instructions, in layout order.

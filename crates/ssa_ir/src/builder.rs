@@ -28,15 +28,6 @@ impl FunctionBuilder {
         }
     }
 
-    /// Wraps an existing function so more code can be appended to it.
-    pub fn from_function(function: Function) -> FunctionBuilder {
-        FunctionBuilder {
-            function,
-            current: None,
-            name_counter: 0,
-        }
-    }
-
     /// Finishes building and returns the function.
     pub fn finish(self) -> Function {
         self.function

@@ -681,14 +681,6 @@ impl Function {
             .map(|(id, _)| id)
     }
 
-    /// Moves `block` to the end of the layout order (used by code generators
-    /// that want related blocks printed together).
-    pub fn move_block_to_end(&mut self, block: BlockId) {
-        self.invalidate_structural_key();
-        self.block_order.retain(|b| *b != block);
-        self.block_order.push(block);
-    }
-
     /// The callee symbol of a call or invoke instruction, or `None` for any
     /// other instruction kind.
     pub fn call_target(&self, inst: InstId) -> Option<&str> {

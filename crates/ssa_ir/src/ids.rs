@@ -150,11 +150,6 @@ impl<I: EntityId, T> Arena<I, T> {
             .enumerate()
             .filter_map(|(i, slot)| slot.as_ref().map(|_| I::from_index(i)))
     }
-
-    /// Total number of slots ever allocated (live + tombstones).
-    pub fn capacity_slots(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 #[cfg(test)]

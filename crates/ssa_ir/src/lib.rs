@@ -10,7 +10,7 @@
 //!   with landing pads, memory operations, casts, phi-nodes and terminators,
 //! * mutable [`Function`]s made of basic blocks, plus [`Module`]s,
 //! * a [`builder::FunctionBuilder`], a textual [`printer`] and [`parser`],
-//! * analyses: [`dominators::DomTree`], [`liveness::Liveness`],
+//! * a dominator analysis, [`dominators::DomTree`],
 //! * a [`verifier`] that checks structural, type and SSA dominance rules,
 //! * and a [`linker`] for symbol renaming, cross-module function import with
 //!   ODR-style deduplication, and whole-program linking.
@@ -36,7 +36,6 @@ pub mod function;
 pub mod ids;
 pub mod instruction;
 pub mod linker;
-pub mod liveness;
 pub mod module;
 pub mod parser;
 pub mod printer;

@@ -41,9 +41,11 @@ fn pct(before: usize, after: usize) -> String {
 }
 
 /// Serializes the planner-engine statistics shared by both report schemas.
+/// `oracle_carried` and `hazard_reuse` are retired counters, emitted as
+/// constant zeros because the schema is append-only.
 fn planner_json(stats: &PlanStats) -> String {
     format!(
-        r#"{{"candidates":{},"speculative_scores":{},"inline_scores":{},"rounds":{},"score_ms":{},"commit_ms":{},"oracle_links":{},"oracle_carried":{},"hazard_reuse":{},"internal_errors":{},"oracle_timeouts":{}}}"#,
+        r#"{{"candidates":{},"speculative_scores":{},"inline_scores":{},"rounds":{},"score_ms":{},"commit_ms":{},"oracle_links":{},"oracle_carried":0,"hazard_reuse":0,"internal_errors":{},"oracle_timeouts":{}}}"#,
         stats.candidates,
         stats.speculative_scores,
         stats.inline_scores,
@@ -51,8 +53,6 @@ fn planner_json(stats: &PlanStats) -> String {
         ms(stats.score_time),
         ms(stats.commit_time),
         stats.oracle_links,
-        stats.oracle_carried,
-        stats.hazard_reuse,
         stats.internal_errors,
         stats.oracle_timeouts
     )
@@ -373,6 +373,8 @@ mod tests {
         assert!(json.contains(r#""telemetry":{"counters":{"#));
         assert!(json.contains(r#""recovery":{"functions_skipped":0,"modules_recovered":0}"#));
         assert!(json.contains(r#""internal_errors":0,"oracle_timeouts":0"#));
+        // Retired counters stay in the append-only schema as constant zeros.
+        assert!(json.contains(r#""oracle_carried":0,"hazard_reuse":0"#));
     }
 
     #[test]

@@ -34,28 +34,24 @@
 //! nothing or the round cap is reached.
 //!
 //! Every round also (incrementally) rebuilds the whole-program **call graph**
-//! (the `callgraph` crate) and uses it two ways:
+//! (the `callgraph` crate). It drives **host selection**
+//! ([`XMergeConfig::host_policy`]): under [`HostPolicy::CallGraph`] each
+//! candidate pair is re-oriented through the planner's placement hook so the
+//! member with *lower* static intra-module coupling (callers + callees that
+//! would be forced into cross-module hops by moving its body) donates,
+//! minimizing the call edges the commit forces cross-module; ties fall back
+//! to the size rule. Every commit records the forced and saved edge counts,
+//! and every round reports how many independent call-graph regions the
+//! corpus splits into ([`CorpusMergeReport::region_counts`]).
 //!
-//! * **host selection** ([`XMergeConfig::host_policy`]): under
-//!   [`HostPolicy::CallGraph`] each candidate pair is re-oriented through the
-//!   planner's placement hook so the member with *lower* static intra-module
-//!   coupling (callers + callees that would be forced into cross-module hops
-//!   by moving its body) donates, minimizing the call edges the commit forces
-//!   cross-module; ties fall back to the size rule. Every commit records the
-//!   forced and saved edge counts.
-//! * **region-parallel planning** ([`XMergeConfig::region_parallel`]): the
-//!   corpus is partitioned into connected regions — modules linked by
-//!   cross-module calls, shared externally visible definitions, or candidate
-//!   pairs — and each region runs the speculative score/commit loop
-//!   independently on worker threads. Regions share no symbols, so a
-//!   single-region corpus commits bit-identically to the sequential
-//!   whole-corpus plan.
+//! Each round is one sequential [`run_plan`] over the whole corpus: hazard
+//! verdicts are computed on each group winner at commit time, and every
+//! oracle run links its own before and after programs.
 
 use crate::discover::{discover, CandidatePair, DiscoveryConfig};
 use crate::index::{CorpusIndex, IndexReuse};
 use callgraph::{module_regions, CallGraph, CallIndexReuse, CorpusCallIndex};
 use fm_align::MinHash;
-use rayon::prelude::*;
 use salssa::plan::{run_plan, CandidateSource, CommitOutcome, PlanStats, ScoreMode};
 use salssa::{
     build_thunk, merge_module, merge_pair, merge_pair_with_distance, DriverConfig, MergeOptions,
@@ -63,13 +59,12 @@ use salssa::{
 };
 use ssa_ir::{
     callees_of, import_function, link_modules_with_renames, sanitize_symbol,
-    structural_key_counters, structurally_equal, FuncDecl, Function, LinkRenames, Linkage, Module,
+    structural_key_counters, structurally_equal, FuncDecl, Function, Linkage, Module,
 };
 use ssa_passes::codesize::function_size_bytes;
 use ssa_passes::module_size_bytes;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// How the cross-module pipeline decides which module hosts a merged body.
@@ -146,11 +141,6 @@ pub struct XMergeConfig {
     pub fixpoint: Option<FixpointConfig>,
     /// How merged bodies are placed (defaults to the original size rule).
     pub host_policy: HostPolicy,
-    /// Plan and commit independent call-graph regions on worker threads.
-    /// Off by default: the global plan commits in one whole-corpus profit
-    /// order, and region-parallel runs concatenate per-region profit orders
-    /// instead (identical commits whenever the corpus is a single region).
-    pub region_parallel: bool,
     /// Paranoid verification: capture the corpus's diagnostic baseline with
     /// the `analysis` engine after module-name uniquification, re-analyze
     /// every mutated module after each committed cross-module operation (and
@@ -187,7 +177,6 @@ impl XMergeConfig {
             check_semantics: false,
             fixpoint: None,
             host_policy: HostPolicy::default(),
-            region_parallel: false,
             paranoid: false,
             prefilter: true,
             oracle_fuel: None,
@@ -210,12 +199,6 @@ impl XMergeConfig {
     /// Selects the host-placement policy.
     pub fn with_host_policy(mut self, policy: HostPolicy) -> XMergeConfig {
         self.host_policy = policy;
-        self
-    }
-
-    /// Enables region-parallel planning and committing.
-    pub fn with_region_parallel(mut self, on: bool) -> XMergeConfig {
-        self.region_parallel = on;
         self
     }
 
@@ -338,8 +321,9 @@ pub struct CorpusMergeReport {
     /// Static call edges the host-selection policy saved versus flipped
     /// placements, summed over all commits.
     pub saved_cross_edges: u64,
-    /// Independent call-graph regions per round, in round order (always
-    /// recorded; only exploited with [`XMergeConfig::region_parallel`]).
+    /// Independent call-graph regions per round, in round order: modules
+    /// linked by cross-module calls, shared externally visible definitions
+    /// or candidate pairs fall into one region.
     pub region_counts: Vec<usize>,
     /// Call-site index reuse of the incremental per-round rebuilds.
     pub call_index_reuse: CallIndexReuse,
@@ -528,13 +512,11 @@ impl fmt::Display for CorpusMergeReport {
         )?;
         writeln!(
             f,
-            "  planner: {} candidates, {} speculative + {} inline scores, {} oracle links ({} carried over rounds), {} hazard verdicts reused; structural-key cache {:.1}% hits ({} hits / {} misses)",
+            "  planner: {} candidates, {} speculative + {} inline scores, {} oracle links; structural-key cache {:.1}% hits ({} hits / {} misses)",
             self.planner.candidates,
             self.planner.speculative_scores,
             self.planner.inline_scores,
             self.planner.oracle_links,
-            self.planner.oracle_carried,
-            self.planner.hazard_reuse,
             100.0 * self.cache_hit_rate(),
             self.cache_hits,
             self.cache_misses
@@ -580,10 +562,9 @@ pub(crate) struct ScoredCross {
 pub(crate) type CrossKey = (usize, usize, String, String);
 
 /// Discovery-time fingerprint distance per candidate pair, keyed by module
-/// *names* (stable across the region remapping, unlike module indices) with
-/// both orientations inserted so the host-policy placement flip still finds
-/// its hint. The distance only sizes alignment bands — losing an entry can
-/// never change a result, only its cost.
+/// and function names with both orientations inserted so the host-policy
+/// placement flip still finds its hint. The distance only sizes alignment
+/// bands — losing an entry can never change a result, only its cost.
 type DistanceMap = HashMap<(String, String, String, String), u64>;
 
 /// Per-function static intra-module coupling, split by side: a *merged*
@@ -602,28 +583,6 @@ struct Coupling {
 /// Per-function coupling, module name → function name.
 type CouplingMap = HashMap<String, HashMap<String, Coupling>>;
 
-/// A linked oracle *before* program with its rename map; `None` records that
-/// the (host, donor) pair carries a pre-existing duplicate-symbol conflict
-/// and cannot link. `Arc` so the cross-round carry cache and the per-round
-/// cache share one copy.
-type OracleEntry = Option<Arc<(Module, LinkRenames)>>;
-
-/// The cross-round oracle carry cache: before-programs keyed by the *names
-/// and* content hashes of the (host, donor) modules. Names matter because
-/// the cached [`LinkRenames`] keys internal entry points by module name —
-/// two same-content modules under different names (the ODR-duplicate case)
-/// must not share an entry. A commit changes the mutated module's hash, so
-/// stale entries become unreachable by construction; [`run_pipeline`] prunes
-/// entries whose (name, hash) left the corpus after every round. Shared
-/// behind a mutex so region-parallel rounds (which touch disjoint module
-/// pairs) use one cache.
-type OracleCarry = Mutex<HashMap<(String, u64, String, u64), OracleEntry>>;
-
-/// Function → call-graph condensation component, keyed module name →
-/// function name (names survive the region remapping, unlike module
-/// indices).
-type ComponentMap = HashMap<String, HashMap<String, usize>>;
-
 /// The cross-module [`CandidateSource`]: LSH-shard discovery provides the
 /// candidates, [`score_cross`] the scores, and the import/merge/thunk commit
 /// protocol — behind the ODR hazard hook and optionally the differential
@@ -633,7 +592,7 @@ struct CrossSource<'a> {
     modules: &'a mut [Module],
     config: &'a XMergeConfig,
     /// Module names at round start (commits never rename modules).
-    names: Vec<String>,
+    names: &'a [String],
     /// Where every symbol is defined, with its linkage, for the hazard rules.
     def_sites: HashMap<String, Vec<(usize, Linkage)>>,
     /// Discovery output, in discovery order (the speculative key set),
@@ -644,64 +603,37 @@ struct CrossSource<'a> {
     /// function name — from the round's call-graph locality summaries.
     /// Nested so the placement hot path looks up by `&str` without
     /// allocating.
-    coupling: Arc<CouplingMap>,
+    coupling: &'a CouplingMap,
     /// Profit-ordered commit schedule: key, profit, odr_dedup.
     schedule: VecDeque<(CrossKey, i64, bool)>,
     consumed: HashSet<(usize, String)>,
     attempts: usize,
     hazard_skips: usize,
     semantic_rejections: usize,
-    /// Per-round cache of oracle *before* programs per (host, donor) module
-    /// pair, so consecutive oracle runs over untouched module pairs link
-    /// once instead of once per commit. Invalidated whenever a commit
-    /// mutates either side. Misses consult the cross-round carry cache
-    /// before linking.
-    oracle_before: HashMap<(usize, usize), OracleEntry>,
-    /// The cross-round carry cache (see [`OracleCarry`]).
-    carried: &'a OracleCarry,
     /// Whole-program links performed for the oracle (before + after sides).
     oracle_links: usize,
-    /// Before-programs served from the carry cache instead of re-linking.
-    oracle_carried: usize,
-    /// Function → condensation component of the round's call graph, and the
-    /// reverse (callee component → caller components) edges used to
-    /// propagate taint to everything that could depend on a mutated module.
-    components: Arc<ComponentMap>,
-    comp_callers: Arc<Vec<Vec<usize>>>,
-    /// Hazard verdicts pre-scanned (in parallel) at plan time; valid for a
-    /// pair as long as neither endpoint's condensation component is tainted.
-    hazard_cache: HashMap<CrossKey, bool>,
-    /// Condensation components affected by this round's commits, closed
-    /// under "is called by" (ancestors in the condensation DAG).
-    tainted: HashSet<usize>,
-    /// Hazard verdicts reused from the pre-scan.
-    hazard_reuse: usize,
     /// Alignment instrumentation folded over every scored pair:
     /// (peak live bytes, peak full-matrix bytes, cells, trimmed entries).
     align_peak_live: u64,
     align_peak_full: u64,
     align_cells: u64,
     align_trimmed: u64,
-    /// Paranoid monitor shared across the run (and across region workers,
-    /// hence the mutex); `None` unless [`XMergeConfig::paranoid`] is set.
-    paranoid: Option<&'a Mutex<analysis::ParanoidMonitor>>,
+    /// Paranoid monitor of the run; `None` unless [`XMergeConfig::paranoid`]
+    /// is set.
+    paranoid: Option<&'a mut analysis::ParanoidMonitor>,
     /// Discovery-time fingerprint distances, for band sizing.
-    distances: Arc<DistanceMap>,
+    distances: &'a DistanceMap,
 }
 
 impl<'a> CrossSource<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         modules: &'a mut [Module],
         config: &'a XMergeConfig,
-        names: Vec<String>,
+        names: &'a [String],
         resolved: Vec<CrossKey>,
-        coupling: Arc<CouplingMap>,
-        carried: &'a OracleCarry,
-        components: Arc<ComponentMap>,
-        comp_callers: Arc<Vec<Vec<usize>>>,
-        paranoid: Option<&'a Mutex<analysis::ParanoidMonitor>>,
-        distances: Arc<DistanceMap>,
+        coupling: &'a CouplingMap,
+        paranoid: Option<&'a mut analysis::ParanoidMonitor>,
+        distances: &'a DistanceMap,
     ) -> CrossSource<'a> {
         // Where each symbol is defined, with linkage, for the hazard rules.
         let mut def_sites: HashMap<String, Vec<(usize, Linkage)>> = HashMap::new();
@@ -725,15 +657,7 @@ impl<'a> CrossSource<'a> {
             attempts: 0,
             hazard_skips: 0,
             semantic_rejections: 0,
-            oracle_before: HashMap::new(),
-            carried,
             oracle_links: 0,
-            oracle_carried: 0,
-            components,
-            comp_callers,
-            hazard_cache: HashMap::new(),
-            tainted: HashSet::new(),
-            hazard_reuse: 0,
             align_peak_live: 0,
             align_peak_full: 0,
             align_cells: 0,
@@ -797,85 +721,6 @@ impl<'a> CrossSource<'a> {
             HostPolicy::Size => 0,
         };
         (forced, saved)
-    }
-
-    /// Ensures the linked before-program of a (host, donor) pair is cached,
-    /// consulting the cross-round carry cache — keyed by the two modules'
-    /// content hashes, so only commit-untouched pairs can hit — before
-    /// linking. A cached `None` records that the pair carries a pre-existing
-    /// duplicate-symbol conflict and cannot be attested.
-    fn ensure_oracle_before(&mut self, host: usize, donor: usize) {
-        let key = (host, donor);
-        if self.oracle_before.contains_key(&key) {
-            return;
-        }
-        let carry_key = (
-            self.names[host].clone(),
-            self.modules[host].content_hash(),
-            self.names[donor].clone(),
-            self.modules[donor].content_hash(),
-        );
-        let carried = self
-            .carried
-            .lock()
-            .expect("oracle carry cache poisoned")
-            .get(&carry_key)
-            .cloned();
-        if let Some(entry) = carried {
-            self.oracle_carried += 1;
-            self.oracle_before.insert(key, entry);
-            return;
-        }
-        self.oracle_links += 1;
-        let linked =
-            link_modules_with_renames([&self.modules[host], &self.modules[donor]], "pair.before")
-                .ok()
-                .map(Arc::new);
-        self.carried
-            .lock()
-            .expect("oracle carry cache poisoned")
-            .insert(carry_key, linked.clone());
-        self.oracle_before.insert(key, linked);
-    }
-
-    /// Marks every condensation component holding a function of `module` —
-    /// and, transitively, every component calling into those — as affected
-    /// by a commit. Pre-scanned hazard verdicts of pairs whose endpoints
-    /// land in a tainted component are discarded.
-    fn taint_module(&mut self, module: usize) {
-        let Some(functions) = self.components.get(&self.names[module]) else {
-            return;
-        };
-        let mut queue: Vec<usize> = functions
-            .values()
-            .copied()
-            .filter(|c| self.tainted.insert(*c))
-            .collect();
-        while let Some(component) = queue.pop() {
-            for &caller in &self.comp_callers[component] {
-                if self.tainted.insert(caller) {
-                    queue.push(caller);
-                }
-            }
-        }
-    }
-
-    /// The pre-scanned hazard verdict of a pair, if it is still valid: both
-    /// endpoints must map to condensation components no commit has tainted
-    /// (the verdict is a pure function of the host and donor module
-    /// contents, and a commit taints every component of the modules it
-    /// mutates).
-    fn reusable_hazard(&self, key: &CrossKey, s: &ScoredCross) -> Option<bool> {
-        let verdict = *self.hazard_cache.get(key)?;
-        let component = |module: usize, name: &str| {
-            self.components
-                .get(&self.names[module])
-                .and_then(|functions| functions.get(name))
-                .copied()
-        };
-        let c1 = component(s.host, &s.f1)?;
-        let c2 = component(s.donor, &s.f2)?;
-        (!self.tainted.contains(&c1) && !self.tainted.contains(&c2)).then_some(verdict)
     }
 
     /// Names a candidate key for telemetry decision provenance.
@@ -961,10 +806,7 @@ impl CandidateSource for CrossSource<'_> {
     /// Derives the commit schedule: every successfully scored pair, most
     /// profitable first, ties broken by module/function names (total, since
     /// module names are unique after uniquification). Also folds the
-    /// alignment instrumentation of every scored pair and pre-scans the
-    /// hazard verdicts of the would-be winners on all cores, so the
-    /// sequential commit loop only re-scans pairs whose call-graph
-    /// components a commit actually touched.
+    /// alignment instrumentation of every scored pair.
     fn plan(&mut self, cache: &salssa::plan::ScoreCache<CrossKey, ScoredCross>) {
         let mut scored: Vec<(CrossKey, i64, bool)> = Vec::with_capacity(cache.len());
         for (key, score) in cache.iter() {
@@ -987,24 +829,6 @@ impl CandidateSource for CrossSource<'_> {
                 ))
             })
         });
-        // Hazard pre-scan: only profitable pairs can win a group, and the
-        // verdict is a pure read, so it parallelizes freely here — before
-        // any commit has mutated a module.
-        let profitable: Vec<(&CrossKey, &ScoredCross)> = cache
-            .iter()
-            .filter_map(|(key, score)| score.as_ref().filter(|s| s.profit > 0).map(|s| (key, s)))
-            .collect();
-        let modules = &*self.modules;
-        let def_sites = &self.def_sites;
-        let _span = telemetry::span_with("xmerge.hazard_scan", || {
-            format!("{} pairs", profitable.len())
-        });
-        self.hazard_cache = profitable
-            .par_iter()
-            .map(|(key, s)| ((*key).clone(), has_odr_hazard(modules, def_sites, s)))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .collect();
         self.schedule = scored.into();
     }
 
@@ -1060,14 +884,14 @@ impl CandidateSource for CrossSource<'_> {
         Some(self.pair_of(key))
     }
 
-    fn hazard(&mut self, key: &CrossKey, score: &ScoredCross) -> bool {
-        let verdict = match self.reusable_hazard(key, score) {
-            Some(verdict) => {
-                self.hazard_reuse += 1;
-                verdict
-            }
-            None => has_odr_hazard(self.modules, &self.def_sites, score),
-        };
+    fn hazard(&mut self, _key: &CrossKey, s: &ScoredCross) -> bool {
+        let _span = telemetry::span_with("xmerge.hazard_scan", || {
+            format!(
+                "{}:{} vs {}:{}",
+                self.names[s.host], s.f1, self.names[s.donor], s.f2
+            )
+        });
+        let verdict = has_odr_hazard(self.modules, &self.def_sites, s);
         if verdict {
             self.hazard_skips += 1;
         }
@@ -1116,25 +940,19 @@ impl CandidateSource for CrossSource<'_> {
                 return CommitOutcome::Skipped;
             };
             extra_profit = profit;
-            // The before side comes from the per-round cache: candidate pairs
-            // cluster on module pairs, so one link per (host, donor) between
-            // mutations serves a whole batch of oracle runs.
-            self.ensure_oracle_before(s.host, s.donor);
-            self.oracle_links += 1;
-            let Ok((after_prog, _)) =
-                link_modules_with_renames([&trial_host, &trial_donor], "pair.after")
-            else {
+            self.oracle_links += 2;
+            let before = link_modules_with_renames(
+                [&self.modules[s.host], &self.modules[s.donor]],
+                "pair.before",
+            );
+            let after = link_modules_with_renames([&trial_host, &trial_donor], "pair.after");
+            let (Ok((before_prog, before_renames)), Ok((after_prog, _))) = (before, after) else {
+                // The pair carries a duplicate-symbol conflict (a pre-existing
+                // one when the before side fails): the oracle cannot attest
+                // anything, so skip the commit conservatively as a link hazard.
                 self.hazard_skips += 1;
                 return CommitOutcome::Skipped;
             };
-            let Some(entry) = self.oracle_before[&(s.host, s.donor)].clone() else {
-                // The pair itself carries a pre-existing duplicate-symbol
-                // conflict: the oracle cannot attest anything, so skip the
-                // commit conservatively as a link hazard.
-                self.hazard_skips += 1;
-                return CommitOutcome::Skipped;
-            };
-            let (before_prog, before_renames) = &*entry;
             // Internal entry points were localized by the link; resolve them
             // through the rename map (host and donor keep their module names
             // across the before/after links, so the names line up).
@@ -1147,7 +965,7 @@ impl CandidateSource for CrossSource<'_> {
             telemetry::faultinject::trip("oracle.check");
             let verdict = entries.iter().try_for_each(|name| {
                 ssa_interp::differential_check_with_fuel(
-                    before_prog,
+                    &before_prog,
                     &after_prog,
                     name,
                     SEMANTIC_SAMPLES,
@@ -1179,30 +997,13 @@ impl CandidateSource for CrossSource<'_> {
             };
             extra_profit = profit;
         }
-        // The commit mutated the donor (and, for genuine merges, the host):
-        // cached before-programs involving a mutated module are stale, and
-        // pre-scanned hazard verdicts whose components touch a mutated
-        // module must be re-scanned. (The carry cache self-invalidates: the
-        // mutated module's content hash changed.)
-        let host_mutated = !s.odr_dedup;
-        self.oracle_before.retain(|(h, d), _| {
-            let stale = [h, d]
-                .into_iter()
-                .any(|m| *m == s.donor || (host_mutated && *m == s.host));
-            !stale
-        });
-        self.taint_module(s.donor);
-        if host_mutated {
-            self.taint_module(s.host);
-        }
         if !s.odr_dedup {
             self.consumed.insert((s.host, s.f1.clone()));
         }
         self.consumed.insert((s.donor, s.f2.clone()));
-        if let Some(paranoid) = self.paranoid {
+        if let Some(monitor) = self.paranoid.as_deref_mut() {
             // Observational only: re-analyze the two mutated modules. The
             // whole-program passes re-run once at the end of the pipeline.
-            let mut monitor = paranoid.lock().unwrap();
             monitor.check_module(&self.modules[s.host]);
             monitor.check_module(&self.modules[s.donor]);
         }
@@ -1278,16 +1079,12 @@ fn run_pipeline(
     };
     let (hits0, misses0) = structural_key_counters();
     let align0 = fm_align::alignment_counters();
-    // Oracle before-programs carried across fixpoint rounds for module pairs
-    // no commit touched (content-hash keyed; pruned to live hashes per
-    // round).
-    let oracle_carry: OracleCarry = Mutex::new(HashMap::new());
     uniquify_module_names(modules);
     // The paranoid baseline is captured after name uniquification so its
     // fingerprints use the same module names every later check sees.
-    let paranoid_monitor: Option<Mutex<analysis::ParanoidMonitor>> = config
+    let mut paranoid_monitor = config
         .paranoid
-        .then(|| Mutex::new(analysis::ParanoidMonitor::for_corpus(modules)));
+        .then(|| analysis::ParanoidMonitor::for_corpus(modules));
     let target = config.options.target;
     let before: Vec<(String, usize, usize)> = modules
         .iter()
@@ -1370,7 +1167,6 @@ fn run_pipeline(
                 pair.distance,
             );
         }
-        let distances = Arc::new(distances);
         if telemetry::decisions_enabled() {
             for (pair, key) in candidates.iter().zip(&resolved) {
                 telemetry::record_decision(
@@ -1411,78 +1207,49 @@ fn run_pipeline(
                     },
                 );
         }
-        let coupling = Arc::new(coupling);
-        // The SCC condensation of the same graph gates hazard re-scans: a
-        // pre-scanned verdict stays valid while the pair's components are
-        // untouched by commits.
-        let condensation = graph.condensation();
-        let mut components = ComponentMap::new();
-        for (i, n) in graph.nodes.iter().enumerate() {
-            components
-                .entry(graph.modules[n.module].clone())
-                .or_default()
-                .insert(n.name.clone(), condensation.component_of[i]);
-        }
-        let components = Arc::new(components);
-        let mut comp_callers: Vec<Vec<usize>> = vec![Vec::new(); condensation.components.len()];
-        for &(caller, callee) in &condensation.edges {
-            comp_callers[callee].push(caller);
-        }
-        let comp_callers = Arc::new(comp_callers);
         let mut links: Vec<(usize, usize)> = graph.cross_module_links();
         links.extend(graph.shared_definition_links());
         links.extend(resolved.iter().map(|(h, d, _, _)| (*h.min(d), *h.max(d))));
-        let regions = module_regions(modules.len(), links);
+        let regions = module_regions(modules.len(), links).len();
         report.callgraph_time += callgraph_span.stop();
         report.call_index_reuse.absorb(call_reuse);
-        report.region_counts.push(regions.len());
+        report.region_counts.push(regions);
 
-        let outcome = if config.region_parallel && regions.len() > 1 {
-            run_round_in_regions(
-                modules,
-                config,
-                &names,
-                resolved,
-                &coupling,
-                &regions,
-                &oracle_carry,
-                &components,
-                &comp_callers,
-                paranoid_monitor.as_ref(),
-                &distances,
-            )
-        } else {
-            run_cross_round(
-                modules,
-                config,
-                names.clone(),
-                resolved,
-                coupling,
-                &oracle_carry,
-                components,
-                comp_callers,
-                paranoid_monitor.as_ref(),
-                distances,
-            )
-        };
-        report.attempts += outcome.attempts;
-        report.hazard_skips += outcome.hazard_skips;
-        report.semantic_rejections += outcome.semantic_rejections;
-        report.score_time += outcome.stats.score_time;
-        report.commit_time += outcome.stats.commit_time;
-        report.planner.absorb(&outcome.stats);
-        report.align_peak_live_bytes = report.align_peak_live_bytes.max(outcome.align.0);
-        report.align_peak_full_matrix_bytes =
-            report.align_peak_full_matrix_bytes.max(outcome.align.1);
-        report.align_cells = report.align_cells.saturating_add(outcome.align.2);
-        report.align_trimmed_entries += outcome.align.3;
-        for r in &outcome.committed {
+        let mut source = CrossSource::new(
+            modules,
+            config,
+            &names,
+            resolved,
+            &coupling,
+            paranoid_monitor.as_mut(),
+            &distances,
+        );
+        let (committed, mut stats) = run_plan(
+            &mut source,
+            ScoreMode::Speculative {
+                batch_size: config.batch_size.max(1),
+            },
+        );
+        stats.oracle_links = source.oracle_links;
+        report.attempts += source.attempts;
+        report.hazard_skips += source.hazard_skips;
+        report.semantic_rejections += source.semantic_rejections;
+        report.score_time += stats.score_time;
+        report.commit_time += stats.commit_time;
+        report.planner.absorb(&stats);
+        report.align_peak_live_bytes = report.align_peak_live_bytes.max(source.align_peak_live);
+        report.align_peak_full_matrix_bytes = report
+            .align_peak_full_matrix_bytes
+            .max(source.align_peak_full);
+        report.align_cells = report.align_cells.saturating_add(source.align_cells);
+        report.align_trimmed_entries += source.align_trimmed;
+        for r in &committed {
             report.forced_cross_edges += u64::from(r.forced_edges);
             report.saved_cross_edges += u64::from(r.saved_edges);
         }
-        let cross_commits = outcome.committed.len();
+        let cross_commits = committed.len();
         report.round_commits.push(cross_commits);
-        report.committed.extend(outcome.committed);
+        report.committed.extend(committed);
         report.rounds += 1;
         if input_index.is_none() {
             input_index = Some(round_index.clone());
@@ -1513,12 +1280,12 @@ fn run_pipeline(
                 }
                 let _span = telemetry::span_with("xmerge.intra", || module.name.clone());
                 let intra_report = merge_module(module, &merger, &intra_config);
-                if let Some(p) = &paranoid_monitor {
+                if let Some(monitor) = &mut paranoid_monitor {
                     if intra_report.num_merges() > 0 {
                         // Attribute intra-introduced regressions to this
                         // round rather than letting the next cross commit's
                         // check inherit them.
-                        p.lock().unwrap().check_module(module);
+                        monitor.check_module(module);
                     }
                 }
                 intra_commits += intra_report.num_merges();
@@ -1542,29 +1309,12 @@ fn run_pipeline(
             }
         }
 
-        // Keep the oracle carry cache bounded: only entries whose module
-        // (name, hash) identities are still live in the corpus can ever hit
-        // again.
-        {
-            let live: HashSet<(&str, u64)> = modules
-                .iter()
-                .map(|m| (m.name.as_str(), m.content_hash()))
-                .collect();
-            oracle_carry
-                .lock()
-                .expect("oracle carry cache poisoned")
-                .retain(|(hn, hh, dn, dh), _| {
-                    live.contains(&(hn.as_str(), *hh)) && live.contains(&(dn.as_str(), *dh))
-                });
-        }
-
         if cross_commits == 0 && intra_commits == 0 {
             break; // Fixpoint reached.
         }
     }
 
-    if let Some(p) = paranoid_monitor {
-        let mut monitor = p.into_inner().expect("paranoid monitor poisoned");
+    if let Some(mut monitor) = paranoid_monitor {
         // One final whole-program pass: the per-commit checks are
         // module-scope, so cross-module regressions (declaration drift, ODR
         // clashes) surface here.
@@ -1602,199 +1352,6 @@ fn run_pipeline(
         Some(input_index.unwrap_or_default()),
         Some(input_calls.unwrap_or_default()),
     )
-}
-
-/// Statistics of one cross-module planning round over one region (or the
-/// whole corpus).
-struct RoundOutcome {
-    committed: Vec<CrossMergeRecord>,
-    attempts: usize,
-    hazard_skips: usize,
-    semantic_rejections: usize,
-    stats: PlanStats,
-    /// Alignment instrumentation folded over the round's scored pairs:
-    /// (peak live bytes, peak full-matrix bytes, cells, trimmed entries).
-    align: (u64, u64, u64, u64),
-}
-
-/// Runs one speculative score/commit pass over `modules` (the whole corpus,
-/// or one region of it with indices and names already remapped).
-#[allow(clippy::too_many_arguments)]
-fn run_cross_round(
-    modules: &mut [Module],
-    config: &XMergeConfig,
-    names: Vec<String>,
-    resolved: Vec<CrossKey>,
-    coupling: Arc<CouplingMap>,
-    carried: &OracleCarry,
-    components: Arc<ComponentMap>,
-    comp_callers: Arc<Vec<Vec<usize>>>,
-    paranoid: Option<&Mutex<analysis::ParanoidMonitor>>,
-    distances: Arc<DistanceMap>,
-) -> RoundOutcome {
-    let mut source = CrossSource::new(
-        modules,
-        config,
-        names,
-        resolved,
-        coupling,
-        carried,
-        components,
-        comp_callers,
-        paranoid,
-        distances,
-    );
-    let (committed, mut stats) = run_plan(
-        &mut source,
-        ScoreMode::Speculative {
-            batch_size: config.batch_size.max(1),
-        },
-    );
-    stats.oracle_links = source.oracle_links;
-    stats.oracle_carried = source.oracle_carried;
-    stats.hazard_reuse = source.hazard_reuse;
-    RoundOutcome {
-        committed,
-        attempts: source.attempts,
-        hazard_skips: source.hazard_skips,
-        semantic_rejections: source.semantic_rejections,
-        stats,
-        align: (
-            source.align_peak_live,
-            source.align_peak_full,
-            source.align_cells,
-            source.align_trimmed,
-        ),
-    }
-}
-
-/// Runs one round with each call-graph region planned and committed on its
-/// own worker thread. Regions share no symbols — no call edges, no external
-/// definitions, no candidate pairs cross a region boundary — so every
-/// region's plan is exactly what a sequential run restricted to it would
-/// produce, and regions cannot observe each other's commits. Results are
-/// stitched back in region order, keeping the pipeline deterministic.
-#[allow(clippy::too_many_arguments)]
-fn run_round_in_regions(
-    modules: &mut [Module],
-    config: &XMergeConfig,
-    names: &[String],
-    resolved: Vec<CrossKey>,
-    coupling: &Arc<CouplingMap>,
-    regions: &[Vec<usize>],
-    carried: &OracleCarry,
-    components: &Arc<ComponentMap>,
-    comp_callers: &Arc<Vec<Vec<usize>>>,
-    paranoid: Option<&Mutex<analysis::ParanoidMonitor>>,
-    distances: &Arc<DistanceMap>,
-) -> RoundOutcome {
-    let mut region_of = vec![0usize; modules.len()];
-    for (ri, members) in regions.iter().enumerate() {
-        for &m in members {
-            region_of[m] = ri;
-        }
-    }
-    // Bucket candidate keys per region; both endpoints of a pair are in one
-    // region by construction (the pair itself is a region link).
-    let mut keys_per_region: Vec<Vec<CrossKey>> = vec![Vec::new(); regions.len()];
-    for key in resolved {
-        debug_assert_eq!(region_of[key.0], region_of[key.1]);
-        keys_per_region[region_of[key.0]].push(key);
-    }
-
-    /// One region's slice of the corpus, module indices remapped to-region.
-    struct RegionTask {
-        members: Vec<usize>,
-        modules: Vec<Module>,
-        names: Vec<String>,
-        resolved: Vec<CrossKey>,
-    }
-    let mut tasks: Vec<Mutex<Option<RegionTask>>> = Vec::with_capacity(regions.len());
-    for (ri, members) in regions.iter().enumerate() {
-        let local_of: HashMap<usize, usize> = members
-            .iter()
-            .enumerate()
-            .map(|(local, &global)| (global, local))
-            .collect();
-        tasks.push(Mutex::new(Some(RegionTask {
-            modules: members
-                .iter()
-                .map(|&g| std::mem::take(&mut modules[g]))
-                .collect(),
-            names: members.iter().map(|&g| names[g].clone()).collect(),
-            resolved: keys_per_region[ri]
-                .drain(..)
-                .map(|(h, d, f1, f2)| (local_of[&h], local_of[&d], f1, f2))
-                .collect(),
-            members: members.to_vec(),
-        })));
-    }
-    let results: Vec<(Vec<usize>, Vec<Module>, RoundOutcome)> = tasks
-        .par_iter()
-        .map(|slot| {
-            let task = slot
-                .lock()
-                .expect("region mutex poisoned")
-                .take()
-                .expect("each region is taken exactly once");
-            let RegionTask {
-                members,
-                mut modules,
-                names,
-                resolved,
-            } = task;
-            let _span = telemetry::span_with("xmerge.region", || {
-                format!("{} modules, {} candidates", modules.len(), resolved.len())
-            });
-            let outcome = run_cross_round(
-                &mut modules,
-                config,
-                names,
-                resolved,
-                coupling.clone(),
-                carried,
-                components.clone(),
-                comp_callers.clone(),
-                paranoid,
-                distances.clone(),
-            );
-            (members, modules, outcome)
-        })
-        .collect();
-
-    let mut total = RoundOutcome {
-        committed: Vec::new(),
-        attempts: 0,
-        hazard_skips: 0,
-        semantic_rejections: 0,
-        stats: PlanStats::default(),
-        align: (0, 0, 0, 0),
-    };
-    let mut max_score_time = std::time::Duration::ZERO;
-    let mut max_commit_time = std::time::Duration::ZERO;
-    for (members, region_modules, outcome) in results {
-        for (&global, module) in members.iter().zip(region_modules) {
-            modules[global] = module;
-        }
-        total.committed.extend(outcome.committed);
-        total.attempts += outcome.attempts;
-        total.hazard_skips += outcome.hazard_skips;
-        total.semantic_rejections += outcome.semantic_rejections;
-        max_score_time = max_score_time.max(outcome.stats.score_time);
-        max_commit_time = max_commit_time.max(outcome.stats.commit_time);
-        total.stats.absorb(&outcome.stats);
-        total.align.0 = total.align.0.max(outcome.align.0);
-        total.align.1 = total.align.1.max(outcome.align.1);
-        total.align.2 = total.align.2.saturating_add(outcome.align.2);
-        total.align.3 += outcome.align.3;
-    }
-    // `absorb` counts one planner round per region and *sums* phase times
-    // that actually ran concurrently; report one pipeline round and the
-    // slowest region's times (the wall-clock the phases really took).
-    total.stats.rounds = 1;
-    total.stats.score_time = max_score_time;
-    total.stats.commit_time = max_commit_time;
-    total
 }
 
 /// Scores one cross-module pair without mutating anything; bodies are

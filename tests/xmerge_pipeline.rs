@@ -182,92 +182,103 @@ fn callgraph_host_policy_forces_strictly_fewer_cross_edges() {
     assert!(verify_module(&linked).is_empty());
 }
 
-/// The region equivalence test: with one committing region (plus an
-/// unrelated singleton region), the region-parallel pipeline emits
-/// bit-identical records and modules to the sequential whole-corpus plan.
-#[test]
-fn region_parallel_single_committing_region_is_bit_identical() {
-    let worker = |name: &str, helper: &str, k: i64| {
-        format!(
-            "define i32 @{name}(i32 %x) {{\nentry:\n  %a = add i32 %x, {k}\n  %b = mul i32 %a, 3\n  %c = call i32 @{helper}(i32 %b)\n  %d = xor i32 %c, %x\n  %e = call i32 @{helper}(i32 %d)\n  %g = sub i32 %e, %a\n  %h2 = mul i32 %g, %b\n  %i = call i32 @{helper}(i32 %h2)\n  %j = add i32 %i, %d\n  ret i32 %j\n}}"
-        )
-    };
-    let corpus = || {
-        let mut a = ssa_ir::parse_module(&worker("left", "h1", 1)).unwrap();
-        a.name = "mod_a".to_string();
-        let mut b = ssa_ir::parse_module(&worker("right", "h1", 2)).unwrap();
-        b.name = "mod_b".to_string();
-        // A symbol-disjoint third module: its own region, nothing to merge.
-        let mut c = ssa_ir::parse_module(
-            "define double @noise(double %x) {\nentry:\n  %a = fmul double %x, 2.0\n  %b = fadd double %a, 1.0\n  ret double %b\n}",
-        )
-        .unwrap();
-        c.name = "mod_c".to_string();
-        vec![a, b, c]
-    };
-    let mut plain = corpus();
-    let baseline = xmerge_corpus(&mut plain, &XMergeConfig::new());
-    assert!(baseline.num_merges() >= 1, "{baseline}");
-    let mut regioned = corpus();
-    let report = xmerge_corpus(
-        &mut regioned,
-        &XMergeConfig::new().with_region_parallel(true),
-    );
-    assert_eq!(report.region_counts, vec![2], "{report}");
-    assert_eq!(
-        report.committed, baseline.committed,
-        "bit-identical records"
-    );
-    for (a, b) in plain.iter().zip(&regioned) {
-        assert_eq!(print_module(a), print_module(b));
-    }
+/// A call-heavy hand-built worker over `helper`; workers sharing a helper
+/// land in one call-graph region.
+fn int_worker(name: &str, helper: &str, k: i64) -> String {
+    format!(
+        "define i32 @{name}(i32 %x) {{\nentry:\n  %a = add i32 %x, {k}\n  %b = mul i32 %a, 3\n  %c = call i32 @{helper}(i32 %b)\n  %d = xor i32 %c, %x\n  %e = call i32 @{helper}(i32 %d)\n  %g = sub i32 %e, %a\n  %h2 = mul i32 %g, %b\n  %i = call i32 @{helper}(i32 %h2)\n  %j = add i32 %i, %d\n  ret i32 %j\n}}"
+    )
 }
 
-/// Two symbol-disjoint committing regions: the region-parallel run commits
-/// the same operations (order may interleave differently across regions) and
-/// produces identical final modules.
+/// A float-heavy worker over `@hb`, so discovery never pairs it with an
+/// [`int_worker`] — otherwise a cross-group candidate pair would link the
+/// regions.
+fn float_worker(name: &str, k: f64) -> String {
+    format!(
+        "define double @{name}(double %x) {{\nentry:\n  %a = fadd double %x, {k}.5\n  %b = fmul double %a, 3.0\n  %c = call double @hb(double %b)\n  %d = fdiv double %c, 2.0\n  %e = call double @hb(double %d)\n  %g = fmul double %e, %a\n  %h2 = fadd double %g, %b\n  %i = call double @hb(double %h2)\n  %j = fdiv double %i, %d\n  ret double %j\n}}"
+    )
+}
+
+fn hand_corpus(texts: &[(&str, String)]) -> Vec<ssa_ir::Module> {
+    texts
+        .iter()
+        .map(|(module, text)| {
+            let mut m = ssa_ir::parse_module(text).unwrap();
+            m.name = (*module).to_string();
+            m
+        })
+        .collect()
+}
+
+/// One committing region plus an unrelated singleton region: the default
+/// round reports both regions, and its records and modules are
+/// bit-identical to planning the committing region on its own, so a
+/// region-parallel split of the round would change nothing.
+#[test]
+fn region_parallel_single_committing_region_is_bit_identical() {
+    let noise = "define double @noise(double %x) {\nentry:\n  %a = fmul double %x, 2.0\n  %b = fadd double %a, 1.0\n  ret double %b\n}";
+    let region = [
+        ("mod_a", int_worker("left", "h1", 1)),
+        ("mod_b", int_worker("right", "h1", 2)),
+    ];
+    // A symbol-disjoint third module: its own region, nothing to merge.
+    let mut whole = hand_corpus(&[
+        region[0].clone(),
+        region[1].clone(),
+        ("mod_c", noise.to_string()),
+    ]);
+    let report = xmerge_corpus(&mut whole, &XMergeConfig::new());
+    assert!(report.num_merges() >= 1, "{report}");
+    assert_eq!(report.region_counts, vec![2], "{report}");
+
+    let mut alone = hand_corpus(&region);
+    let region_report = xmerge_corpus(&mut alone, &XMergeConfig::new());
+    assert_eq!(region_report.region_counts, vec![1], "{region_report}");
+    assert_eq!(
+        report.committed, region_report.committed,
+        "bit-identical records"
+    );
+    for (a, b) in whole.iter().zip(&alone) {
+        assert_eq!(print_module(a), print_module(b));
+    }
+    assert_eq!(
+        print_module(&whole[2]),
+        print_module(&hand_corpus(&[("mod_c", noise.to_string())])[0])
+    );
+}
+
+/// Two symbol-disjoint committing regions: the default round reports both
+/// and commits both merges under the oracle — the same set of operations,
+/// and identical final modules, as planning each region on its own.
 #[test]
 fn region_parallel_disjoint_regions_commit_the_same_set() {
-    let worker = |name: &str, helper: &str, k: i64| {
-        format!(
-            "define i32 @{name}(i32 %x) {{\nentry:\n  %a = add i32 %x, {k}\n  %b = mul i32 %a, 3\n  %c = call i32 @{helper}(i32 %b)\n  %d = xor i32 %c, %x\n  %e = call i32 @{helper}(i32 %d)\n  %g = sub i32 %e, %a\n  %h2 = mul i32 %g, %b\n  %i = call i32 @{helper}(i32 %h2)\n  %j = add i32 %i, %d\n  ret i32 %j\n}}"
-        )
-    };
-    // Group B is float-heavy so discovery never pairs it with group A —
-    // otherwise a cross-group candidate pair would link the regions.
-    let fworker = |name: &str, k: f64| {
-        format!(
-            "define double @{name}(double %x) {{\nentry:\n  %a = fadd double %x, {k}.5\n  %b = fmul double %a, 3.0\n  %c = call double @hb(double %b)\n  %d = fdiv double %c, 2.0\n  %e = call double @hb(double %d)\n  %g = fmul double %e, %a\n  %h2 = fadd double %g, %b\n  %i = call double @hb(double %h2)\n  %j = fdiv double %i, %d\n  ret double %j\n}}"
-        )
-    };
-    let corpus = || {
-        let texts = [
-            ("a1", worker("left_a", "ha", 1)),
-            ("a2", worker("right_a", "ha", 2)),
-            ("b1", fworker("left_b", 5.0)),
-            ("b2", fworker("right_b", 9.0)),
-        ];
-        texts
-            .iter()
-            .map(|(module, text)| {
-                let mut m = ssa_ir::parse_module(text).unwrap();
-                m.name = (*module).to_string();
-                m
-            })
-            .collect::<Vec<_>>()
-    };
-    let mut plain = corpus();
-    let baseline = xmerge_corpus(&mut plain, &XMergeConfig::new());
-    assert_eq!(baseline.num_merges(), 2, "{baseline}");
-    let mut regioned = corpus();
-    let report = xmerge_corpus(
-        &mut regioned,
-        &XMergeConfig::new()
-            .with_region_parallel(true)
-            .with_check_semantics(true),
-    );
+    let regions = [
+        [
+            ("a1", int_worker("left_a", "ha", 1)),
+            ("a2", int_worker("right_a", "ha", 2)),
+        ],
+        [
+            ("b1", float_worker("left_b", 5.0)),
+            ("b2", float_worker("right_b", 9.0)),
+        ],
+    ];
+    let config = XMergeConfig::new().with_check_semantics(true);
+    let mut whole = hand_corpus(&regions.concat());
+    let report = xmerge_corpus(&mut whole, &config);
     assert_eq!(report.region_counts, vec![2], "{report}");
-    assert_eq!(report.semantic_rejections, 0);
+    assert_eq!(report.num_merges(), 2, "{report}");
+    assert_eq!(report.semantic_rejections, 0, "{report}");
+
+    let mut split_records = Vec::new();
+    let mut split_modules = Vec::new();
+    for region in &regions {
+        let mut modules = hand_corpus(region);
+        let region_report = xmerge_corpus(&mut modules, &config);
+        assert_eq!(region_report.region_counts, vec![1], "{region_report}");
+        assert_eq!(region_report.semantic_rejections, 0, "{region_report}");
+        split_records.extend(region_report.committed);
+        split_modules.extend(modules);
+    }
     let sorted = |mut records: Vec<xmerge::CrossMergeRecord>| {
         records.sort_by(|a, b| {
             (&a.host_module, &a.f1, &a.donor_module, &a.f2).cmp(&(
@@ -279,23 +290,19 @@ fn region_parallel_disjoint_regions_commit_the_same_set() {
         });
         records
     };
-    assert_eq!(
-        sorted(baseline.committed.clone()),
-        sorted(report.committed.clone())
-    );
-    for (a, b) in plain.iter().zip(&regioned) {
+    assert_eq!(sorted(report.committed.clone()), sorted(split_records));
+    for (a, b) in whole.iter().zip(&split_modules) {
         assert_eq!(print_module(a), print_module(b));
     }
 }
 
-/// Region-parallel + callgraph policy + fixpoint + oracle compose on the
-/// call-heavy corpus without rejections or verifier breakage.
+/// Callgraph policy + fixpoint + oracle compose on the call-heavy corpus
+/// without rejections or verifier breakage, reporting regions every round.
 #[test]
 fn regions_policy_and_fixpoint_compose_cleanly() {
     let mut corpus = CorpusSpec::call_heavy().generate();
     let config = XMergeConfig::new()
         .with_host_policy(HostPolicy::CallGraph)
-        .with_region_parallel(true)
         .with_check_semantics(true)
         .with_fixpoint(FixpointConfig::default());
     let report = xmerge_corpus(&mut corpus, &config);
@@ -306,8 +313,8 @@ fn regions_policy_and_fixpoint_compose_cleanly() {
         report.planner.oracle_links > 0,
         "the oracle must have linked pairs: {report}"
     );
-    // The per-round before-link cache keeps links at (or below) two per
-    // oracle-checked commit attempt.
+    // Each oracle run links a before and an after program, and the oracle
+    // runs at most once per commit attempt.
     assert!(
         report.planner.oracle_links <= 2 * (report.attempts + report.num_commits()),
         "{report}"
