@@ -94,10 +94,6 @@ fn telemetry_hot_paths(c: &mut Criterion) {
             let _g = telemetry::span_with("bench.telemetry.off", || unreachable!());
         })
     });
-    let counter = telemetry::registry().counter("bench.telemetry.counter");
-    group.bench_function("counter_inc", |b| b.iter(|| counter.inc()));
-    let hist = telemetry::registry().histogram("bench.telemetry.histogram");
-    group.bench_function("histogram_record", |b| b.iter(|| hist.record(42)));
     group.finish();
 }
 

@@ -5,7 +5,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p fm_bench --bin experiments -- <experiment> [--scale F] [--threshold T]
+//! cargo run --release -p bench --bin experiments -- <experiment> [--scale F] [--threshold T]
 //! ```
 //!
 //! where `<experiment>` is one of `fig5`, `fig17a`, `fig17b`, `fig18`,
@@ -525,7 +525,11 @@ fn fig25(scale: f64) {
     let mut fmsa_all = Vec::new();
     let mut salssa_all = Vec::new();
     for spec in suite(workloads::spec2006(), (scale * 0.5).max(0.1)) {
-        let baseline_module = spec.generate();
+        // The merged modules are cleaned after merging, so the baseline is
+        // cleaned too (as `mergebench` does): otherwise the ratio credits
+        // merging with what the cleanup alone removes.
+        let mut baseline_module = spec.generate();
+        cleanup_module(&mut baseline_module);
         let run_suite = |module: &ssa_ir::Module| -> f64 {
             let mut steps = 0u64;
             for f in baseline_module.functions() {

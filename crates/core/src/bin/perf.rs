@@ -4,9 +4,10 @@
 //! shape, cleaned like `gen-corpus --clean`) in-process, runs the
 //! cross-module pipeline with allocation tracking on, and appends one
 //! machine-readable JSON object line to `BENCH_xmerge.json`: wall time,
-//! allocator peak, `VmHWM`, commit counts, and the key efficiency counters
-//! (banding, pre-filter, class-table and structural-cache hit rates). Every
-//! entry embeds the corpus manifest, so it is exactly reproducible.
+//! allocator peak, `VmHWM`, commit counts, and the counters of the report's
+//! `telemetry` block (alignment tiers, banding, pre-filter, class-table and
+//! structural-cache hits). Every entry embeds the corpus manifest, so it is
+//! exactly reproducible.
 //!
 //! With `--baseline <file>` the run becomes a gate: wall time must stay
 //! within a generous multiplicative band of the baseline (CI machines vary;
@@ -32,21 +33,6 @@ const DEFAULT_WALL_TOLERANCE: f64 = 20.0;
 /// cores than the one that wrote it.
 const PEAK_CEILING_HEADROOM: f64 = 2.5;
 
-/// Counters whose per-run deltas every bench entry records.
-const TRACKED_COUNTERS: &[&str] = &[
-    "fm_align.band.runs",
-    "fm_align.band.saturations",
-    "fm_align.score_only_runs",
-    "fm_align.full_runs",
-    "fm_align.class_table.hits",
-    "fm_align.class_table.misses",
-    "plan.prefilter.checked",
-    "plan.prefilter.rejected",
-    "plan.commits",
-    "ssa_ir.structural_key.hits",
-    "ssa_ir.structural_key.misses",
-];
-
 pub(crate) fn run_perf(cli: &Cli) -> ExitCode {
     let spec = cli.tier.spec();
     let mut base_modules = spec.generate();
@@ -65,7 +51,6 @@ pub(crate) fn run_perf(cli: &Cli) -> ExitCode {
     let mut walls: Vec<f64> = Vec::with_capacity(runs);
     let mut peak_alloc_bytes = 0u64;
     let mut last: Option<(xmerge::CorpusMergeReport, telemetry::AllocSnapshot)> = None;
-    let before = telemetry::registry().snapshot();
     for _ in 0..runs {
         let mut modules = base_modules.clone();
         // Re-arm both high-water marks so each run measures its own peak.
@@ -81,7 +66,6 @@ pub(crate) fn run_perf(cli: &Cli) -> ExitCode {
         last = Some((report, snap));
     }
     let (report, snap) = last.expect("runs >= 1");
-    let after = telemetry::registry().snapshot();
     // The gate compares the fastest run: it is the closest observable to the
     // workload's intrinsic cost, with the least scheduler noise.
     let wall_seconds = walls.iter().copied().fold(f64::INFINITY, f64::min);
@@ -93,12 +77,11 @@ pub(crate) fn run_perf(cli: &Cli) -> ExitCode {
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let walls_json: Vec<String> = walls.iter().map(|w| format!("{w:.6}")).collect();
-    let counters_json: Vec<String> = TRACKED_COUNTERS
+    // The counters of the report's `telemetry` block. Every run is
+    // deterministic, so the last one's report speaks for all.
+    let counters_json: Vec<String> = xmerge::corpus_telemetry_counters(&report)
         .iter()
-        .map(|name| {
-            let delta = after.counter(name).saturating_sub(before.counter(name)) / runs as u64;
-            format!(r#""{name}":{delta}"#)
-        })
+        .map(|(name, value)| format!(r#""{name}":{value}"#))
         .collect();
     let opt = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |v| v.to_string());
     let entry = format!(

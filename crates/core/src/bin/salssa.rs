@@ -46,8 +46,8 @@
 //! and turns on allocation tracking, so every span's end event carries its
 //! thread's allocation delta; `--profile` additionally prints the rollup
 //! after the run; `--decisions-out <file>` writes the candidate-pair
-//! decision log as JSONL, and `report --metrics` prints the process-wide
-//! metrics registry (with p50/p90/p99 per histogram).
+//! decision log as JSONL. The `--json` reports carry the run's own counters
+//! and histograms in their `telemetry` block.
 //!
 //! ```text
 //! cargo run --release --bin salssa -- examples/clone_heavy.ll
@@ -159,7 +159,6 @@ options:
                          allocation tracking)
       --decisions-out <file>  write the candidate-pair decision log (discovered,
                          scored, rejected+reason, committed) as JSONL
-      --metrics          report: print the metrics registry after the report
       --tier <S|M|L>     perf: corpus tier to run (default S)
       --iters <N>        fuzz: corpora to generate and corrupt (default 16)
       --seed <N>         fuzz: base seed for corpus generation and mutation
@@ -210,7 +209,6 @@ struct Cli {
     only: Vec<String>,
     trace_out: Option<String>,
     decisions_out: Option<String>,
-    metrics: bool,
     profile: bool,
     tier: workloads::PerfTier,
     runs: usize,
@@ -241,7 +239,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut only: Vec<String> = Vec::new();
     let mut trace_out: Option<String> = None;
     let mut decisions_out: Option<String> = None;
-    let mut metrics = false;
     let mut profile = false;
     let mut tier = workloads::PerfTier::S;
     let mut runs = 1usize;
@@ -330,7 +327,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--trace-out" => trace_out = Some(value_for(arg)?),
             "--decisions-out" => decisions_out = Some(value_for(arg)?),
-            "--metrics" => metrics = true,
             "--profile" => profile = true,
             "--tier" => {
                 let t = value_for(arg)?;
@@ -418,7 +414,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         only,
         trace_out,
         decisions_out,
-        metrics,
         profile,
         tier,
         runs,
@@ -947,7 +942,7 @@ fn run_callgraph(cli: &Cli) -> ExitCode {
             writeln!(
                 out,
                 r#"{{"kind":"callgraph","input":"{}","modules":{},"functions":{},"call_edges":{},"resolved_sites":{},"cross_module_sites":{},"external_sites":{},"scc_components":{},"recursive_components":{},"condensation_edges":{},"regions":{}}}"#,
-                xmerge::json_escape(input),
+                telemetry::json_escape(input),
                 graph.modules.len(),
                 graph.num_nodes(),
                 graph.num_edges(),
@@ -1374,10 +1369,6 @@ fn run_report(cli: &Cli) -> ExitCode {
                 writeln!(out, "{line}")?;
             }
             writeln!(out, "{} modules reported", entries.len())?;
-        }
-        if cli.metrics {
-            writeln!(out, "\nmetrics:")?;
-            write!(out, "{}", telemetry::registry().snapshot().render_table())?;
         }
         Ok(())
     })

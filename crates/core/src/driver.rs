@@ -20,15 +20,17 @@
 //!   stay sequential and profit-ordered, so the committed
 //!   [`MergeRecord`]s are bit-identical to the sequential mode's.
 
-use crate::merge::{self, PairMerge};
+use crate::merge::{self, PairMerge, Refused};
 use crate::options::MergeOptions;
 use crate::plan::{run_plan, CandidateSource, CommitOutcome, PlanStats, ScoreMode};
-use fm_align::{Band, Ranking};
-use ssa_ir::{Function, InstKind, Module, Type, Value};
+use fm_align::{AlignTally, Band, Ranking};
+use ssa_ir::{structural_key_counters, Function, InstKind, Module, Type, Value};
 use ssa_passes::codesize::{function_size_bytes, Target};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Mutex;
 use std::time::Duration;
+use telemetry::Histogram;
 
 /// A technique that can merge two functions (SalSSA, or the FMSA baseline in
 /// the `fmsa` crate). `Sync` is required so the parallel driver can score
@@ -45,8 +47,14 @@ pub trait FunctionMerger: Sync {
     /// cleans up the functions left demoted by its preprocessing).
     fn postprocess_module(&self, _module: &mut Module) {}
 
-    /// Attempts to merge one pair of functions.
-    fn merge_pair(&self, f1: &Function, f2: &Function, merged_name: &str) -> Option<PairMerge>;
+    /// Attempts to merge one pair of functions. A refusal still reports the
+    /// alignment it ran, which the driver counts.
+    fn merge_pair(
+        &self,
+        f1: &Function,
+        f2: &Function,
+        merged_name: &str,
+    ) -> Result<PairMerge, Refused>;
 
     /// The code-size target used by the profitability model.
     fn target(&self) -> Target;
@@ -71,8 +79,13 @@ impl FunctionMerger for SalSsaMerger {
         "salssa"
     }
 
-    fn merge_pair(&self, f1: &Function, f2: &Function, merged_name: &str) -> Option<PairMerge> {
-        merge::merge_pair(f1, f2, &self.options, merged_name)
+    fn merge_pair(
+        &self,
+        f1: &Function,
+        f2: &Function,
+        merged_name: &str,
+    ) -> Result<PairMerge, Refused> {
+        merge::merge_pair_with_distance(f1, f2, &self.options, merged_name, None)
     }
 
     fn target(&self) -> Target {
@@ -261,23 +274,34 @@ pub struct ModuleMergeReport {
     /// Match pairs resolved by common prefix/suffix trimming instead of DP,
     /// summed over all attempted alignments.
     pub align_trimmed_entries: u64,
-    /// Score-only alignment runs ([`fm_align::align_score`]) observed during
-    /// the run (process-wide counter delta). Exact profit needs the merged
-    /// body, so production scoring always runs the traceback tier; the
-    /// score-only tier is exercised by the pre-filter's gray zone (one cheap
-    /// DP sharpening the histogram bound before codegen-based scoring) and
-    /// by stats-only consumers (benchmarks, profiling tools) sharing the
-    /// process.
+    /// Score-only alignment runs ([`fm_align::align_score`]) this run made.
+    /// Exact profit needs the merged body, so scoring always runs the
+    /// traceback tier; the score-only tier is the pre-filter's gray zone
+    /// (one cheap DP sharpening the histogram bound before codegen-based
+    /// scoring).
     pub align_score_only_runs: u64,
-    /// Full (traceback) alignment runs observed during the run (process-wide
-    /// counter delta).
+    /// Traceback alignment runs this run made: every scored pair, refused
+    /// ones included, plus each winner regenerated at commit time.
     pub align_full_runs: u64,
-    /// Banded DP attempts observed during the run (process-wide counter
-    /// delta across both alignment tiers).
+    /// Banded DP attempts across both alignment tiers.
     pub align_band_runs: u64,
     /// Banded attempts that saturated their corridor and fell back to the
-    /// exact tier (counter delta; a subset of [`Self::align_band_runs`]).
+    /// exact tier (a subset of [`Self::align_band_runs`]).
     pub align_band_saturations: u64,
+    /// Class-table lookups of this run's alignments and pre-filter checks
+    /// that found the table cached on the function.
+    pub align_class_table_hits: u64,
+    /// Class-table builds of this run's alignments and pre-filter checks.
+    pub align_class_table_misses: u64,
+    /// Aligned sequence lengths (`n + m`) of every alignment run counted
+    /// above.
+    pub align_lengths: Histogram,
+    /// Structural-key cache hits during this run. The cache counters are
+    /// process-wide, so this delta includes concurrent runs' lookups.
+    pub cache_hits: u64,
+    /// Structural-key cache misses (normalized re-prints) during this run;
+    /// process-wide like [`Self::cache_hits`].
+    pub cache_misses: u64,
     /// Profitable merges rejected by the semantic oracle (always 0 unless
     /// [`DriverConfig::check_semantics`] is on; nonzero means the merger
     /// produced observably wrong code and the driver refused to commit it).
@@ -316,6 +340,30 @@ impl ModuleMergeReport {
     /// Total modelled byte savings over all committed merges.
     pub fn total_profit_bytes(&self) -> i64 {
         self.committed.iter().map(|r| r.profit_bytes).sum()
+    }
+
+    /// The run's alignment sums, as held in the `align_*` run fields.
+    pub fn alignments(&self) -> AlignTally {
+        AlignTally {
+            score_only_runs: self.align_score_only_runs,
+            full_runs: self.align_full_runs,
+            band_runs: self.align_band_runs,
+            band_saturations: self.align_band_saturations,
+            class_table_hits: self.align_class_table_hits,
+            class_table_misses: self.align_class_table_misses,
+            lengths: self.align_lengths,
+        }
+    }
+
+    /// Stores a run's alignment sums in the `align_*` run fields.
+    fn set_alignments(&mut self, tally: &AlignTally) {
+        self.align_score_only_runs = tally.score_only_runs;
+        self.align_full_runs = tally.full_runs;
+        self.align_band_runs = tally.band_runs;
+        self.align_band_saturations = tally.band_saturations;
+        self.align_class_table_hits = tally.class_table_hits;
+        self.align_class_table_misses = tally.class_table_misses;
+        self.align_lengths = tally.lengths;
     }
 }
 
@@ -415,32 +463,9 @@ struct ScoredCandidate {
     pair: Option<PairMerge>,
 }
 
-fn score_pair(
-    module: &Module,
-    merger: &dyn FunctionMerger,
-    name: &str,
-    candidate: &str,
-    keep_pair: bool,
-) -> Option<ScoredCandidate> {
-    let (f1, f2) = (module.function(name)?, module.function(candidate)?);
-    let merged_name = format!("merged.{}.{}", f1.name, f2.name);
-    let pair = merger.merge_pair(f1, f2, &merged_name)?;
-    let profit = estimate_profit(module, name, candidate, &pair, merger.target());
-    Some(ScoredCandidate {
-        profit,
-        align_time: pair.align_time,
-        codegen_time: pair.codegen_time,
-        matrix_bytes: pair.alignment.matrix_bytes,
-        full_matrix_bytes: pair.alignment.full_matrix_bytes,
-        cells: pair.alignment.cells,
-        trimmed: pair.alignment.trimmed,
-        pair: (keep_pair && profit > 0).then_some(pair),
-    })
-}
-
 /// The intra-module [`CandidateSource`]: fingerprint ranking provides the
 /// candidates (each function's top-`t` most similar peers form one rival
-/// group, visited largest function first), [`score_pair`] the scores, and
+/// group, visited largest function first), trial merges the scores, and
 /// [`commit_merge`] — optionally guarded by the differential oracle — the
 /// commits.
 struct IntraSource<'a> {
@@ -453,6 +478,26 @@ struct IntraSource<'a> {
     unavailable: HashSet<String>,
     report: &'a mut ModuleMergeReport,
     paranoid: Option<analysis::ParanoidMonitor>,
+    /// Every alignment and pre-filter check of the run. Behind a lock
+    /// because speculative scoring runs on rayon workers through `&self`.
+    alignments: Mutex<AlignTally>,
+}
+
+impl IntraSource<'_> {
+    /// Trial-merges a pair, counting its alignment whether or not the
+    /// merger refuses the pair.
+    fn merge_pair(&self, f1: &Function, f2: &Function) -> Option<PairMerge> {
+        let merged_name = format!("merged.{}.{}", f1.name, f2.name);
+        let merged = self.merger.merge_pair(f1, f2, &merged_name);
+        let stats = merged
+            .as_ref()
+            .map_or_else(|r| r.alignment, |p| p.alignment);
+        self.alignments
+            .lock()
+            .expect("no thread panics while counting an alignment")
+            .add(&stats);
+        merged.ok()
+    }
 }
 
 impl CandidateSource for IntraSource<'_> {
@@ -490,7 +535,19 @@ impl CandidateSource for IntraSource<'_> {
     }
 
     fn score(&self, key: &(String, String), keep_artifacts: bool) -> Option<ScoredCandidate> {
-        score_pair(self.module, self.merger, &key.0, &key.1, keep_artifacts)
+        let (f1, f2) = (self.module.function(&key.0)?, self.module.function(&key.1)?);
+        let pair = self.merge_pair(f1, f2)?;
+        let profit = estimate_profit(self.module, &key.0, &key.1, &pair, self.merger.target());
+        Some(ScoredCandidate {
+            profit,
+            align_time: pair.align_time,
+            codegen_time: pair.codegen_time,
+            matrix_bytes: pair.alignment.matrix_bytes,
+            full_matrix_bytes: pair.alignment.full_matrix_bytes,
+            cells: pair.alignment.cells,
+            trimmed: pair.alignment.trimmed,
+            pair: (keep_artifacts && profit > 0).then_some(pair),
+        })
     }
 
     fn profit(score: &ScoredCandidate) -> i64 {
@@ -511,7 +568,12 @@ impl CandidateSource for IntraSource<'_> {
             return false;
         };
         let band = Some(Band::new(crate::options::DEFAULT_BAND_SLACK));
-        fm_align::prefilter_rejects(f1, f2, self.merger.target(), band)
+        let check = fm_align::prefilter_check(f1, f2, self.merger.target(), band);
+        self.alignments
+            .lock()
+            .expect("no thread panics while counting an alignment")
+            .add_prefilter(&check);
+        check.rejects
     }
 
     fn next_group(&mut self) -> Option<Vec<(String, String)>> {
@@ -591,9 +653,7 @@ impl CandidateSource for IntraSource<'_> {
                     .function(&candidate)
                     .expect("winner's f2 must be live"),
             );
-            let merged_name = format!("merged.{}.{}", f1.name, f2.name);
-            self.merger
-                .merge_pair(f1, f2, &merged_name)
+            self.merge_pair(f1, f2)
                 .expect("a scored profitable pair must merge deterministically")
         });
         let record = if self.config.check_semantics {
@@ -671,7 +731,7 @@ pub fn merge_module(
         threshold: config.threshold,
         ..ModuleMergeReport::default()
     };
-    let align_counters = fm_align::alignment_counters();
+    let (key_hits, key_misses) = structural_key_counters();
     merger.preprocess_module(module);
     // The baseline is captured *after* preprocessing so paranoid deltas are
     // attributable to merge commits, not to the technique's own lowering.
@@ -699,9 +759,15 @@ pub fn merge_module(
         unavailable: HashSet::new(),
         report: &mut report,
         paranoid,
+        alignments: Mutex::new(AlignTally::default()),
     };
     let (committed, stats) = run_plan(&mut source, mode);
     let paranoid = source.paranoid.take();
+    let alignments = source
+        .alignments
+        .into_inner()
+        .expect("no thread panics while counting an alignment");
+    report.set_alignments(&alignments);
     report.committed = committed;
     report.planner = stats;
 
@@ -714,11 +780,9 @@ pub fn merge_module(
         report.paranoid_stats = monitor.stats();
         report.paranoid_delta = monitor.into_delta();
     }
-    let after = fm_align::alignment_counters();
-    report.align_score_only_runs = after.score_only_runs - align_counters.score_only_runs;
-    report.align_full_runs = after.full_runs - align_counters.full_runs;
-    report.align_band_runs = after.band_runs - align_counters.band_runs;
-    report.align_band_saturations = after.band_saturations - align_counters.band_saturations;
+    let (hits, misses) = structural_key_counters();
+    report.cache_hits = hits.saturating_sub(key_hits);
+    report.cache_misses = misses.saturating_sub(key_misses);
     report
 }
 
@@ -1012,28 +1076,87 @@ entry:
         assert_eq!(report.technique, "salssa");
     }
 
+    /// Wraps the SalSSA merger and keeps the alignment stats of every pair
+    /// it is asked to merge, refused or not.
+    #[derive(Default)]
+    struct RecordingMerger {
+        inner: SalSsaMerger,
+        seen: std::sync::Mutex<Vec<fm_align::AlignmentStats>>,
+    }
+
+    impl FunctionMerger for RecordingMerger {
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+        fn merge_pair(
+            &self,
+            f1: &Function,
+            f2: &Function,
+            merged_name: &str,
+        ) -> Result<PairMerge, Refused> {
+            let merged = self.inner.merge_pair(f1, f2, merged_name);
+            let stats = merged
+                .as_ref()
+                .map_or_else(|r| r.alignment, |p| p.alignment);
+            self.seen.lock().unwrap().push(stats);
+            merged
+        }
+        fn target(&self) -> Target {
+            self.inner.target()
+        }
+    }
+
     #[test]
     fn speculative_scoring_never_allocates_a_full_matrix() {
         // The acceptance criterion of the linear-space engine: the planner's
         // speculative batch scorer (and the commit replay) must only use the
-        // rolling/divide-and-conquer tiers. `align_full_matrix` is the one
-        // place that allocates the quadratic matrix, and nothing in this
-        // crate calls it.
-        let before = fm_align::alignment_counters().full_matrix_runs;
+        // rolling/divide-and-conquer tiers, so no alignment ever holds as
+        // many live DP bytes as the full score matrix would take.
+        let merger = RecordingMerger::default();
         let mut module = clone_heavy_module();
-        let merger = SalSsaMerger::default();
         let report = merge_module(
             &mut module,
             &merger,
             &DriverConfig::with_threshold(2).parallel(),
         );
         assert!(report.num_merges() > 0);
-        let after = fm_align::alignment_counters().full_matrix_runs;
-        assert_eq!(
-            after - before,
-            0,
-            "the speculative scoring path allocated a full score matrix"
-        );
+        let seen = merger.seen.into_inner().unwrap();
+        assert_eq!(seen.len() as u64, report.align_full_runs);
+        for stats in &seen {
+            assert!(
+                stats.matrix_bytes < stats.full_matrix_bytes,
+                "an alignment held a full score matrix: {stats:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn refused_pairs_still_count_their_alignment() {
+        // Same body, different return types: the pair aligns, then code
+        // generation refuses it. Neither side ever becomes an attempt, but
+        // both orientations were aligned, so the report counts both runs.
+        // (The pre-filter would reject this small pair before aligning it.)
+        let body = |ret: &str| {
+            format!(
+                "define {ret} @f_{ret}(i32 %x) {{\nentry:\n  %a = add i32 %x, 1\n  %b = mul i32 %a, 3\n  %c = xor i32 %b, %x\n  %r = zext i32 %c to {ret}\n  ret {ret} %r\n}}"
+            )
+        };
+        let text = format!("{}\n{}", body("i64"), body("i16"));
+        for config in [
+            DriverConfig::with_threshold(1).with_prefilter(false),
+            DriverConfig::with_threshold(1)
+                .with_prefilter(false)
+                .parallel(),
+        ] {
+            let mut module = parse_module(&text).unwrap();
+            let report = merge_module(&mut module, &SalSsaMerger::default(), &config);
+            assert_eq!(report.attempts, 0);
+            assert_eq!(report.num_merges(), 0);
+            assert_eq!(report.planner.candidates, 2, "{:?}", report.planner);
+            assert_eq!(report.align_full_runs, 2);
+            assert_eq!(report.align_lengths.count(), 2);
+            assert_eq!(report.align_class_table_misses, 2);
+        }
     }
 
     #[test]
@@ -1142,8 +1265,8 @@ entry:
                 f1: &Function,
                 f2: &Function,
                 merged_name: &str,
-            ) -> Option<PairMerge> {
-                let good = merge::merge_pair(f1, f2, &MergeOptions::default(), merged_name)?;
+            ) -> Result<PairMerge, Refused> {
+                let good = SalSsaMerger::default().merge_pair(f1, f2, merged_name)?;
                 // Wreck the merged body: ignore f2 entirely by reusing f1 with
                 // a compatible (fid-extended) signature.
                 let mut wrong = f1.clone();
@@ -1157,7 +1280,7 @@ entry:
                         }
                     });
                 }
-                Some(PairMerge {
+                Ok(PairMerge {
                     merged: wrong,
                     ..good
                 })

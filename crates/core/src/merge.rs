@@ -59,36 +59,50 @@ fn band_for(options: &MergeOptions, distance: Option<u64>) -> Option<Band> {
     options.band.map(|slack| Band::from_hint(slack, distance))
 }
 
+/// A pair that was aligned but not merged: the signatures are incompatible,
+/// or the merged body fails verification (which would make the merge unsafe
+/// to commit). Carries the stats of the alignment, which the run still
+/// counts.
+#[derive(Debug, Clone, Copy)]
+pub struct Refused {
+    /// Instrumentation of the alignment the refused merge ran.
+    pub alignment: AlignmentStats,
+}
+
 /// Merges `f1` and `f2` with SalSSA. Returns `None` when the pair cannot be
-/// merged (incompatible signatures) or when the generated function fails
-/// verification (which would make the merge unsafe to commit).
+/// merged (see [`Refused`]).
 pub fn merge_pair(
     f1: &Function,
     f2: &Function,
     options: &MergeOptions,
     merged_name: &str,
 ) -> Option<PairMerge> {
-    merge_pair_with_distance(f1, f2, options, merged_name, None)
+    merge_pair_with_distance(f1, f2, options, merged_name, None).ok()
 }
 
 /// [`merge_pair`] with the discovery-time fingerprint distance of the pair,
-/// used to size the alignment band. The distance affects only the cost of
-/// alignment, never its result.
+/// used to size the alignment band (the distance affects only the cost of
+/// alignment, never its result). A refused pair reports the alignment it
+/// ran.
 pub fn merge_pair_with_distance(
     f1: &Function,
     f2: &Function,
     options: &MergeOptions,
     merged_name: &str,
     distance: Option<u64>,
-) -> Option<PairMerge> {
+) -> Result<PairMerge, Refused> {
     let align_span = telemetry::timed_span("merge.align");
     let seq1 = linearize(f1);
     let seq2 = linearize(f2);
     let alignment = align_banded(f1, &seq1, f2, &seq2, band_for(options, distance));
     let align_time = align_span.stop();
+    let refused = Refused {
+        alignment: alignment.stats,
+    };
 
     let gen_span = telemetry::timed_span("merge.codegen");
-    let (mut merged, maps) = codegen::generate(f1, f2, &alignment, options, merged_name)?;
+    let (mut merged, maps) =
+        codegen::generate(f1, f2, &alignment, options, merged_name).ok_or(refused)?;
     // Collapse the per-entry block chains before SSA repair so phi-nodes are
     // only placed at genuine join points of the merged CFG.
     ssa_passes::simplify_cfg::simplify(&mut merged);
@@ -104,10 +118,10 @@ pub fn merge_pair_with_distance(
     let codegen_time = gen_span.stop();
 
     if !verifier::verify_function(&merged).is_empty() {
-        return None;
+        return Err(refused);
     }
 
-    Some(PairMerge {
+    Ok(PairMerge {
         merged,
         alignment: alignment.stats,
         repair,
@@ -241,6 +255,11 @@ L4:
         let a = parse_function("define i32 @a(i32 %x) {\nentry:\n  ret i32 %x\n}").unwrap();
         let b = parse_function("define void @b(i32 %x) {\nentry:\n  ret void\n}").unwrap();
         assert!(merge_pair(&a, &b, &MergeOptions::default(), "m").is_none());
+        // The refusal comes after aligning, and reports that alignment.
+        let refused =
+            merge_pair_with_distance(&a, &b, &MergeOptions::default(), "m", None).unwrap_err();
+        assert_eq!(refused.alignment.len_left, 2);
+        assert_eq!(refused.alignment.len_right, 2);
     }
 
     #[test]

@@ -35,7 +35,6 @@ use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
 use std::time::Duration;
 use telemetry::{DecisionEvent, RejectReason};
 
@@ -295,45 +294,6 @@ fn emit_decision<S: CandidateSource>(
     }
 }
 
-/// Engine-level metrics: committed-merge count and the distribution of
-/// committed profits (bytes saved per merge).
-fn plan_metrics() -> &'static (telemetry::metrics::Counter, telemetry::metrics::Histogram) {
-    static METRICS: OnceLock<(telemetry::metrics::Counter, telemetry::metrics::Histogram)> =
-        OnceLock::new();
-    METRICS.get_or_init(|| {
-        (
-            telemetry::registry().counter("plan.commits"),
-            telemetry::registry().histogram("plan.commit_profit"),
-        )
-    })
-}
-
-/// Pre-filter metrics: candidates checked and candidates rejected by the
-/// admissible profit upper bound.
-fn prefilter_metrics() -> &'static (telemetry::metrics::Counter, telemetry::metrics::Counter) {
-    static METRICS: OnceLock<(telemetry::metrics::Counter, telemetry::metrics::Counter)> =
-        OnceLock::new();
-    METRICS.get_or_init(|| {
-        (
-            telemetry::registry().counter("plan.prefilter.checked"),
-            telemetry::registry().counter("plan.prefilter.rejected"),
-        )
-    })
-}
-
-/// Degradation metrics: candidates lost to isolated panics and commits
-/// refused because the oracle ran out of fuel.
-fn robustness_metrics() -> &'static (telemetry::metrics::Counter, telemetry::metrics::Counter) {
-    static METRICS: OnceLock<(telemetry::metrics::Counter, telemetry::metrics::Counter)> =
-        OnceLock::new();
-    METRICS.get_or_init(|| {
-        (
-            telemetry::registry().counter("plan.internal_errors"),
-            telemetry::registry().counter("plan.oracle.timeouts"),
-        )
-    })
-}
-
 /// Runs the engine to completion: speculative scoring (per `mode`), then the
 /// sequential profit-ordered commit loop. Returns the committed records in
 /// commit order plus the engine statistics.
@@ -371,11 +331,8 @@ pub fn run_plan<S: CandidateSource>(
                         return true;
                     }
                     stats.prefilter_checked += 1;
-                    let (checked, rejected) = prefilter_metrics();
-                    checked.inc();
                     if source.prefilter(key) {
                         stats.prefilter_rejected += 1;
-                        rejected.inc();
                         emit_decision(
                             source,
                             key,
@@ -410,11 +367,8 @@ pub fn run_plan<S: CandidateSource>(
             let key = source.place(key);
             if source.prefilter_enabled() {
                 stats.prefilter_checked += 1;
-                let (checked, rejected) = prefilter_metrics();
-                checked.inc();
                 if source.prefilter(&key) {
                     stats.prefilter_rejected += 1;
-                    rejected.inc();
                     emit_decision(
                         source,
                         &key,
@@ -442,7 +396,6 @@ pub fn run_plan<S: CandidateSource>(
             stats.candidates += 1;
             let Some(scored) = scored else {
                 stats.internal_errors += 1;
-                robustness_metrics().0.inc();
                 emit_decision(
                     source,
                     &key,
@@ -510,7 +463,6 @@ pub fn run_plan<S: CandidateSource>(
                 }
                 None => {
                     stats.internal_errors += 1;
-                    robustness_metrics().0.inc();
                     emit_decision(
                         source,
                         &key,
@@ -534,7 +486,6 @@ pub fn run_plan<S: CandidateSource>(
             });
             let Some(outcome) = outcome else {
                 stats.internal_errors += 1;
-                robustness_metrics().0.inc();
                 if let Some(pair) = described {
                     telemetry::record_decision(
                         DecisionEvent::Rejected(RejectReason::InternalError),
@@ -547,9 +498,6 @@ pub fn run_plan<S: CandidateSource>(
             };
             match outcome {
                 CommitOutcome::Committed(record) => {
-                    let (commits, profits) = plan_metrics();
-                    commits.inc();
-                    profits.record(profit.max(0) as u64);
                     if let Some(pair) = described {
                         telemetry::record_decision(
                             DecisionEvent::Committed,
@@ -572,7 +520,6 @@ pub fn run_plan<S: CandidateSource>(
                 }
                 CommitOutcome::OracleTimeout => {
                     stats.oracle_timeouts += 1;
-                    robustness_metrics().1.inc();
                     if let Some(pair) = described {
                         telemetry::record_decision(
                             DecisionEvent::Rejected(RejectReason::OracleTimeout),

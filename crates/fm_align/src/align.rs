@@ -76,11 +76,13 @@
 //! [`linearize`]: crate::linearize::linearize
 
 use crate::linearize::{linearize, mergeable, SeqEntry};
+use crate::prefilter::PrefilterCheck;
 use ssa_ir::{BinOp, CastKind, Function, ICmpPred, InstKind, Type};
 use ssa_passes::Target;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
+use telemetry::Histogram;
 
 /// One element of an alignment result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,6 +126,10 @@ pub struct AlignmentStats {
     /// `true` when the band saturated and the run fell back to the exact
     /// (unbanded) computation. The result is byte-identical either way.
     pub band_saturated: bool,
+    /// Class tables this run built instead of finding them cached. The
+    /// score-only and traceback tiers look up one table per side; the
+    /// full-matrix reference looks up none.
+    pub class_table_builds: u32,
 }
 
 impl AlignmentStats {
@@ -147,78 +153,66 @@ pub struct Alignment {
     pub stats: AlignmentStats,
 }
 
-// ---------------------------------------------------------------------------
-// Alignment run counters, registered in the telemetry metrics registry as
-// `fm_align.*` (like `ssa_ir::structural_key_counters`): reports snapshot
-// them around a run and publish the deltas, and
-// `telemetry::registry().reset()` zeroes them between test runs.
-// ---------------------------------------------------------------------------
-
-struct AlignMetrics {
-    score_only_runs: telemetry::metrics::Counter,
-    full_runs: telemetry::metrics::Counter,
-    full_matrix_runs: telemetry::metrics::Counter,
-    trimmed_entries: telemetry::metrics::Counter,
-    /// Banded DP attempts, and how many of them saturated (fell back).
-    band_runs: telemetry::metrics::Counter,
-    band_saturations: telemetry::metrics::Counter,
-    /// Cached per-function class-table lookups.
-    class_table_hits: telemetry::metrics::Counter,
-    class_table_misses: telemetry::metrics::Counter,
-    /// Distribution of aligned sequence lengths (`n + m` per run).
-    lengths: telemetry::metrics::Histogram,
-}
-
-fn align_metrics() -> &'static AlignMetrics {
-    static METRICS: OnceLock<AlignMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| AlignMetrics {
-        score_only_runs: telemetry::registry().counter("fm_align.score_only_runs"),
-        full_runs: telemetry::registry().counter("fm_align.full_runs"),
-        full_matrix_runs: telemetry::registry().counter("fm_align.full_matrix_runs"),
-        trimmed_entries: telemetry::registry().counter("fm_align.trimmed_entries"),
-        band_runs: telemetry::registry().counter("fm_align.band.runs"),
-        band_saturations: telemetry::registry().counter("fm_align.band.saturations"),
-        class_table_hits: telemetry::registry().counter("fm_align.class_table.hits"),
-        class_table_misses: telemetry::registry().counter("fm_align.class_table.misses"),
-        lengths: telemetry::registry().histogram("fm_align.alignment_length"),
-    })
-}
-
-/// Monotonic process-wide counters of the alignment tiers.
+/// Sums over the alignments of one run: the [`AlignmentStats`] of each
+/// call, added up by the run that made it. Reports publish these sums as
+/// their `align_*` run counts and in their `telemetry` block. Nothing is
+/// counted process-wide, so concurrent runs keep separate sums.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AlignmentCounters {
-    /// [`align_score`] runs (score-only rolling DP).
+pub struct AlignTally {
+    /// Score-only runs ([`align_score`] and its banded variants).
     pub score_only_runs: u64,
-    /// [`align`] runs (linear-space traceback).
+    /// Traceback runs ([`align`] and its banded variants).
     pub full_runs: u64,
-    /// [`align_full_matrix`] runs — the quadratic reference. Zero in
-    /// production: only differential tests and benchmarks call it.
-    pub full_matrix_runs: u64,
-    /// Match pairs resolved by trimming instead of DP, summed over all runs.
-    pub trimmed_entries: u64,
-    /// Banded DP attempts across both tiers.
+    /// Runs that attempted a diagonal band.
     pub band_runs: u64,
-    /// Banded attempts that saturated and fell back to the exact tier.
+    /// Band attempts that saturated and fell back to the exact tier.
     pub band_saturations: u64,
-    /// Cached class-table lookups served from a function's analysis slot.
+    /// Class-table lookups served from a function's analysis slot.
     pub class_table_hits: u64,
     /// Class-table builds (empty slot, mutated function, or foreign slice).
     pub class_table_misses: u64,
+    /// Aligned sequence lengths, `n + m` per run.
+    pub lengths: Histogram,
 }
 
-/// Snapshots the process-wide alignment counters (telemetry-registry
-/// backed: `fm_align.*`).
-pub fn alignment_counters() -> AlignmentCounters {
-    let m = align_metrics();
-    AlignmentCounters {
-        score_only_runs: m.score_only_runs.get(),
-        full_runs: m.full_runs.get(),
-        full_matrix_runs: m.full_matrix_runs.get(),
-        trimmed_entries: m.trimmed_entries.get(),
-        band_runs: m.band_runs.get(),
-        band_saturations: m.band_saturations.get(),
-        class_table_hits: m.class_table_hits.get(),
-        class_table_misses: m.class_table_misses.get(),
+impl AlignTally {
+    /// Counts one score-only or traceback run.
+    pub fn add(&mut self, stats: &AlignmentStats) {
+        if stats.score_only {
+            self.score_only_runs += 1;
+        } else {
+            self.full_runs += 1;
+        }
+        self.band_runs += u64::from(stats.banded);
+        self.band_saturations += u64::from(stats.band_saturated);
+        self.add_class_tables(2, stats.class_table_builds);
+        self.lengths
+            .record((stats.len_left + stats.len_right) as u64);
+    }
+
+    /// Counts one pre-filter check: its two class-table lookups and its
+    /// gray-zone score DP, if it ran one.
+    pub fn add_prefilter(&mut self, check: &PrefilterCheck) {
+        self.add_class_tables(2, check.class_table_builds);
+        if let Some(stats) = &check.alignment {
+            self.add(stats);
+        }
+    }
+
+    /// Adds another run's sums.
+    pub fn absorb(&mut self, other: &AlignTally) {
+        self.score_only_runs += other.score_only_runs;
+        self.full_runs += other.full_runs;
+        self.band_runs += other.band_runs;
+        self.band_saturations += other.band_saturations;
+        self.class_table_hits += other.class_table_hits;
+        self.class_table_misses += other.class_table_misses;
+        self.lengths.absorb(&other.lengths);
+    }
+
+    fn add_class_tables(&mut self, lookups: u32, builds: u32) {
+        self.class_table_hits += u64::from(lookups - builds);
+        self.class_table_misses += u64::from(builds);
     }
 }
 
@@ -435,49 +429,37 @@ fn build_class_table(f: &Function, seq: &[SeqEntry]) -> ClassTable {
 }
 
 /// The class table for `seq` (a linearization of `f`), served from the
-/// function's analysis slot when possible. A cached table is only reused
-/// when its recorded sequence matches `seq` exactly, so callers passing
-/// foreign slices (tests align arbitrary sub-slices) fall back to a fresh
-/// build — counted as a miss — without ever producing a wrong table.
-pub fn class_table(f: &Function, seq: &[SeqEntry]) -> Arc<ClassTable> {
-    let metrics = align_metrics();
+/// function's analysis slot when possible, and whether this call had to
+/// build it. A cached table is only reused when its recorded sequence
+/// matches `seq` exactly, so callers passing foreign slices (tests align
+/// arbitrary sub-slices) fall back to a fresh build without ever producing
+/// a wrong table.
+pub(crate) fn class_table(f: &Function, seq: &[SeqEntry]) -> (Arc<ClassTable>, bool) {
     if let Some(cached) = f.analysis_cache() {
         if let Ok(table) = cached.downcast::<ClassTable>() {
             if table.seq == seq {
-                metrics.class_table_hits.inc();
-                return table;
+                return (table, false);
             }
         }
     }
-    metrics.class_table_misses.inc();
     let table = Arc::new(build_class_table(f, seq));
     let _ = f.set_analysis_cache(table.clone());
-    table
+    (table, true)
 }
 
 /// Like [`class_table`] but linearizes `f` itself on a miss. On a hit the
 /// cached table is trusted as-is: the analysis slot is cleared by every
 /// mutation, so whatever was stored was computed from the current body.
-pub fn class_table_of(f: &Function) -> Arc<ClassTable> {
-    let metrics = align_metrics();
+pub(crate) fn class_table_of(f: &Function) -> (Arc<ClassTable>, bool) {
     if let Some(cached) = f.analysis_cache() {
         if let Ok(table) = cached.downcast::<ClassTable>() {
-            metrics.class_table_hits.inc();
-            return table;
+            return (table, false);
         }
     }
-    metrics.class_table_misses.inc();
     let seq = linearize(f);
     let table = Arc::new(build_class_table(f, &seq));
     let _ = f.set_analysis_cache(table.clone());
-    table
-}
-
-/// Snapshots the process-wide class-table cache counters as
-/// `(hits, misses)` (telemetry-registry backed: `fm_align.class_table.*`).
-pub fn class_table_counters() -> (u64, u64) {
-    let m = align_metrics();
-    (m.class_table_hits.get(), m.class_table_misses.get())
+    (table, true)
 }
 
 // ---------------------------------------------------------------------------
@@ -514,10 +496,18 @@ impl AlignScratch {
     /// plain array copy. Never-mergeable entries get unique sentinel ids
     /// counted down from `u32::MAX` so they equal nothing — not even each
     /// other — exactly as the historical per-pair interner assigned them.
-    fn classify(&mut self, f1: &Function, seq1: &[SeqEntry], f2: &Function, seq2: &[SeqEntry]) {
-        let t1 = class_table(f1, seq1);
-        let t2 = class_table(f2, seq2);
+    /// Returns how many of the two tables had to be built.
+    fn classify(
+        &mut self,
+        f1: &Function,
+        seq1: &[SeqEntry],
+        f2: &Function,
+        seq2: &[SeqEntry],
+    ) -> u32 {
+        let (t1, built1) = class_table(f1, seq1);
+        let (t2, built2) = class_table(f2, seq2);
         self.merge_tables(&t1, &t2);
+        u32::from(built1) + u32::from(built2)
     }
 
     fn merge_tables(&mut self, t1: &ClassTable, t2: &ClassTable) {
@@ -776,7 +766,7 @@ pub fn align_score_banded_in(
     band: Option<Band>,
 ) -> AlignmentStats {
     let (n, m) = (seq1.len(), seq2.len());
-    scratch.classify(f1, seq1, f2, seq2);
+    let class_table_builds = scratch.classify(f1, seq1, f2, seq2);
     let mut mem = MemTracker::default();
 
     // Trim the common prefix, then the common suffix of what remains. Both
@@ -804,7 +794,6 @@ pub fn align_score_banded_in(
     let mut pool = RowPool { rows };
     let mut dp_matches = 0u32;
     let mut rows_bytes = 0u64;
-    let metrics = align_metrics();
     let mut banded = false;
     let mut band_saturated = false;
     if !short.is_empty() {
@@ -815,7 +804,6 @@ pub fn align_score_banded_in(
         let mut band_hit = false;
         if let Some(cor) = corridor {
             banded = true;
-            metrics.band_runs.inc();
             let mut row = pool.take(width, &mut mem);
             let corner = banded_score_pass(long, short, &cor, &mut row, &mut mem);
             pool.give(row, width, &mut mem);
@@ -825,7 +813,6 @@ pub fn align_score_banded_in(
                 band_hit = true;
             } else {
                 band_saturated = true;
-                metrics.band_saturations.inc();
             }
         }
         if !band_hit {
@@ -854,9 +841,6 @@ pub fn align_score_banded_in(
         }
     }
 
-    metrics.score_only_runs.inc();
-    metrics.trimmed_entries.add((lo + suf) as u64);
-    metrics.lengths.record((n + m) as u64);
     AlignmentStats {
         len_left: n,
         len_right: m,
@@ -868,6 +852,7 @@ pub fn align_score_banded_in(
         score_only: true,
         banded,
         band_saturated,
+        class_table_builds,
     }
 }
 
@@ -927,7 +912,7 @@ pub fn align_banded_in(
     band: Option<Band>,
 ) -> Alignment {
     let (n, m) = (seq1.len(), seq2.len());
-    scratch.classify(f1, seq1, f2, seq2);
+    let class_table_builds = scratch.classify(f1, seq1, f2, seq2);
     let mut mem = MemTracker::default();
 
     // Suffix trimming only: the greedy traceback provably takes the diagonal
@@ -971,11 +956,9 @@ pub fn align_banded_in(
             // arms the column clamp from the very first strip); when it
             // saturates, the traceback runs unbanded as if no band had been
             // requested.
-            let metrics = align_metrics();
             let mut top_val = None;
             if let Some(cor) = band.and_then(|b| Corridor::new(core_n, core_m, b)) {
                 banded = true;
-                metrics.band_runs.inc();
                 let mut row = tracer.pool.take(core_m + 1, tracer.mem);
                 let corner =
                     banded_score_pass(&c1[..core_n], &c2[..core_m], &cor, &mut row, tracer.mem);
@@ -985,7 +968,6 @@ pub fn align_banded_in(
                     top_val = Some(corner);
                 } else {
                     band_saturated = true;
-                    metrics.band_saturations.inc();
                 }
             }
             let mut seed = tracer.pool.take(core_m + 1, tracer.mem);
@@ -1016,10 +998,6 @@ pub fn align_banded_in(
         pairs.push(AlignedPair::Match(seq1[core_n + k], seq2[core_m + k]));
     }
 
-    let metrics = align_metrics();
-    metrics.full_runs.inc();
-    metrics.trimmed_entries.add(suf as u64);
-    metrics.lengths.record((n + m) as u64);
     Alignment {
         pairs,
         stats: AlignmentStats {
@@ -1033,6 +1011,7 @@ pub fn align_banded_in(
             score_only: false,
             banded,
             band_saturated,
+            class_table_builds,
         },
     }
 }
@@ -1234,8 +1213,9 @@ impl Tracer<'_> {
 /// complete `(n + 1) × (m + 1)` score matrix and traces back greedily from
 /// the bottom-right corner. Kept as the reference oracle the linear-space
 /// [`align`] is differentially tested against, and as the baseline of the
-/// `alignment` benchmarks. Production paths never call this — the
-/// [`alignment_counters`] `full_matrix_runs` counter proves it.
+/// `alignment` benchmarks. Production paths never call this: a driver test
+/// checks that every alignment a parallel merge run makes holds fewer live
+/// bytes than this tier's matrix.
 pub fn align_full_matrix(
     f1: &Function,
     seq1: &[SeqEntry],
@@ -1288,7 +1268,6 @@ pub fn align_full_matrix(
     }
     pairs_rev.reverse();
 
-    align_metrics().full_matrix_runs.inc();
     let matrix = (score.len() * std::mem::size_of::<u32>()) as u64;
     Alignment {
         pairs: pairs_rev,
@@ -1303,6 +1282,7 @@ pub fn align_full_matrix(
             score_only: false,
             banded: false,
             band_saturated: false,
+            class_table_builds: 0,
         },
     }
 }
@@ -1558,18 +1538,25 @@ L4:
     }
 
     #[test]
-    fn tier_counters_are_monotonic_and_attributed() {
+    fn tier_stats_are_attributed_to_their_run() {
         let f = parse_function(F1).unwrap();
         let seq = linearize(&f);
-        let before = alignment_counters();
-        align_score(&f, &seq, &f, &seq);
-        align(&f, &seq, &f, &seq);
-        align_full_matrix(&f, &seq, &f, &seq);
-        let after = alignment_counters();
-        assert!(after.score_only_runs > before.score_only_runs);
-        assert!(after.full_runs > before.full_runs);
-        assert!(after.full_matrix_runs > before.full_matrix_runs);
-        assert!(after.trimmed_entries >= before.trimmed_entries + 2 * seq.len() as u64);
+        let score = align_score(&f, &seq, &f, &seq);
+        let full = align(&f, &seq, &f, &seq).stats;
+        let reference = align_full_matrix(&f, &seq, &f, &seq).stats;
+        assert!(score.score_only);
+        assert!(!full.score_only);
+        assert!(!reference.score_only);
+        // Only the quadratic reference holds the whole matrix live.
+        assert_eq!(reference.matrix_bytes, reference.full_matrix_bytes);
+        assert!(full.matrix_bytes < full.full_matrix_bytes);
+        assert!(score.trimmed + full.trimmed >= 2 * seq.len());
+        let mut tally = AlignTally::default();
+        tally.add(&score);
+        tally.add(&full);
+        assert_eq!((tally.score_only_runs, tally.full_runs), (1, 1));
+        assert_eq!(tally.lengths.count(), 2);
+        assert_eq!(tally.lengths.sum(), 4 * seq.len() as u64);
     }
 
     #[test]
@@ -1619,13 +1606,12 @@ L4:
         let s1 = linearize(&f1);
         let s2 = linearize(&f2);
         assert_eq!(s1.len(), s2.len());
-        let before = alignment_counters();
         let banded = align_banded(&f1, &s1, &f2, &s2, Some(Band::new(1)));
-        let after = alignment_counters();
         assert!(banded.stats.banded);
         assert!(banded.stats.band_saturated, "band must saturate");
-        assert_eq!(after.band_runs, before.band_runs + 1);
-        assert_eq!(after.band_saturations, before.band_saturations + 1);
+        let mut tally = AlignTally::default();
+        tally.add(&banded.stats);
+        assert_eq!((tally.band_runs, tally.band_saturations), (1, 1));
         let reference = align_full_matrix(&f1, &s1, &f2, &s2);
         assert_eq!(banded.pairs, reference.pairs);
         assert_eq!(banded.stats.matches, reference.stats.matches);
@@ -1725,23 +1711,22 @@ L4:
         let f2 = parse_function(F2).unwrap();
         let s1 = linearize(&f1);
         let s2 = linearize(&f2);
-        let (h0, m0) = class_table_counters();
-        align(&f1, &s1, &f2, &s2);
-        let (h1, m1) = class_table_counters();
-        assert_eq!(m1, m0 + 2, "first run builds both tables");
-        align(&f1, &s1, &f2, &s2);
-        align_score(&f1, &s1, &f2, &s2);
-        let (h2, m2) = class_table_counters();
-        assert_eq!(m2, m1, "repeat runs build nothing");
-        assert_eq!(h2, h1 + 4, "repeat runs hit the cache");
-        assert!(h1 >= h0);
+        let first = align(&f1, &s1, &f2, &s2).stats;
+        assert_eq!(first.class_table_builds, 2, "first run builds both tables");
+        let mut tally = AlignTally::default();
+        tally.add(&align(&f1, &s1, &f2, &s2).stats);
+        tally.add(&align_score(&f1, &s1, &f2, &s2));
+        assert_eq!(tally.class_table_misses, 0, "repeat runs build nothing");
+        assert_eq!(tally.class_table_hits, 4, "repeat runs hit the cache");
         // Mutating the function clears its slot; the next run rebuilds.
         let mut f1 = f1;
         f1.set_name("renamed");
         let s1 = linearize(&f1);
-        align(&f1, &s1, &f2, &s2);
-        let (_, m3) = class_table_counters();
-        assert_eq!(m3, m2 + 1, "mutation invalidates exactly one table");
+        let rebuilt = align(&f1, &s1, &f2, &s2).stats;
+        assert_eq!(
+            rebuilt.class_table_builds, 1,
+            "mutation invalidates exactly one table"
+        );
     }
 
     #[test]

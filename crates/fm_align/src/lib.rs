@@ -14,6 +14,12 @@
 //!   trim savings) used by the compile-time and memory experiments,
 //! * [`align_score`] — the score-only tier: a two-row rolling DP over the
 //!   shorter sequence for callers that need only the match count,
+//! * [`AlignTally`] — the sums a run's reports publish: every call returns
+//!   its own [`AlignmentStats`] (tier, band outcome, lengths, class-table
+//!   builds) and the run adds them up. The crate keeps no process-wide
+//!   counters, so concurrent runs cannot see each other's alignments,
+//! * [`prefilter_check`] — the admissible profit pre-filter, which also
+//!   returns the work it did for the run to count,
 //! * [`Fingerprint`] / [`Ranking`] — the opcode-frequency ranking that selects
 //!   which pairs of functions to attempt to merge under a given exploration
 //!   threshold `t`.
@@ -42,12 +48,12 @@ pub mod prefilter;
 
 pub use align::{
     align, align_banded, align_banded_in, align_full_matrix, align_in, align_score,
-    align_score_banded, align_score_banded_in, align_score_in, alignment_counters, class_table,
-    class_table_counters, class_table_of, with_scratch, AlignScratch, AlignedPair, Alignment,
-    AlignmentCounters, AlignmentStats, Band, ClassTable,
+    align_score_banded, align_score_banded_in, align_score_in, with_scratch, AlignScratch,
+    AlignTally, AlignedPair, Alignment, AlignmentStats, Band, ClassTable,
 };
 pub use fingerprint::{Fingerprint, MinHash, Ranking, SHINGLE_LEN};
 pub use linearize::{linearize, mergeable, mergeable_insts, SeqEntry};
 pub use prefilter::{
-    match_upper_bound, prefilter_rejects, profit_margin_bytes, PREFILTER_GRAY_FACTOR,
+    match_upper_bound, prefilter_check, prefilter_rejects, profit_margin_bytes, PrefilterCheck,
+    PREFILTER_GRAY_FACTOR,
 };

@@ -55,7 +55,8 @@
 //! intersection in the same inequality (the fold terms stay).
 
 use crate::align::{
-    align_score_banded_in, class_table_of, with_scratch, Band, ClassTable, MergeClass,
+    align_score_banded_in, class_table_of, with_scratch, AlignmentStats, Band, ClassTable,
+    MergeClass,
 };
 use ssa_ir::{Function, InstKind};
 use ssa_passes::Target;
@@ -83,8 +84,8 @@ pub fn profit_margin_bytes(target: Target) -> u64 {
 /// can match: the class-histogram intersection `Σ_c min(count₁, count₂)`.
 /// Admissibility (`align(..).stats.matches ≤` this) is proptest-enforced.
 pub fn match_upper_bound(f1: &Function, f2: &Function) -> u64 {
-    let t1 = class_table_of(f1);
-    let t2 = class_table_of(f2);
+    let (t1, _) = class_table_of(f1);
+    let (t2, _) = class_table_of(f2);
     intersect(&t1, &t2, Target::X86Like, |c1, c2, _| c1.min(c2) as u64)
 }
 
@@ -119,25 +120,53 @@ fn intersect(
     total
 }
 
+/// One pre-filter verdict and the work it took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PrefilterCheck {
+    /// `true` when the pair provably cannot be profitable.
+    pub rejects: bool,
+    /// Class tables the check built, of the two it looked up.
+    pub class_table_builds: u32,
+    /// The gray-zone score DP, when the check ran one.
+    pub alignment: Option<AlignmentStats>,
+}
+
 /// `true` when the pair provably cannot be profitable on `target` and the
 /// planner may skip codegen-based scoring for it. Structurally-equal pairs
 /// (ODR dedup) are never rejected. `band` shapes the optional second-stage
 /// score DP; it does not affect the verdict's value, only its cost.
 pub fn prefilter_rejects(f1: &Function, f2: &Function, target: Target, band: Option<Band>) -> bool {
-    let t1 = class_table_of(f1);
-    let t2 = class_table_of(f2);
+    prefilter_check(f1, f2, target, band).rejects
+}
+
+/// [`prefilter_rejects`], also returning the class-table builds and the
+/// gray-zone alignment the check made, for the run to count.
+pub fn prefilter_check(
+    f1: &Function,
+    f2: &Function,
+    target: Target,
+    band: Option<Band>,
+) -> PrefilterCheck {
+    let (t1, built1) = class_table_of(f1);
+    let (t2, built2) = class_table_of(f2);
+    let mut check = PrefilterCheck {
+        rejects: false,
+        class_table_builds: u32::from(built1) + u32::from(built2),
+        alignment: None,
+    };
     let margin = profit_margin_bytes(target);
     let (shared, beta_max) = shared_byte_bound(&t1, &t2, target);
     if shared > PREFILTER_GRAY_FACTOR * margin {
         // Clearly promising: no rejection is possible (fold terms only grow
         // the bound), so don't even price the cleanup slack.
-        return false;
+        return check;
     }
     // Cleanup slack: bytes the post-merge cleanup could strip from each
     // side's own code, priced on a cached solo clone-and-clean.
     let fold = t1.foldable_bytes(f1, target) + t2.foldable_bytes(f2, target);
     if shared + fold <= margin {
-        return !ssa_ir::structurally_equal(f1, f2);
+        check.rejects = !ssa_ir::structurally_equal(f1, f2);
+        return check;
     }
     if beta_max > 0 && shared + fold <= PREFILTER_GRAY_FACTOR * margin {
         // Gray zone: the histogram bound barely clears the margin. One
@@ -145,11 +174,12 @@ pub fn prefilter_rejects(f1: &Function, f2: &Function, target: Target, band: Opt
         // `shared` to `M · β_max` in the same inequality.
         let stats =
             with_scratch(|scratch| align_score_banded_in(scratch, f1, &t1.seq, f2, &t2.seq, band));
+        check.alignment = Some(stats);
         if stats.matches as u64 * beta_max + fold <= margin {
-            return !ssa_ir::structurally_equal(f1, f2);
+            check.rejects = !ssa_ir::structurally_equal(f1, f2);
         }
     }
-    false
+    check
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! they stem from the demotion itself, not from the emission order. Phi-node
 //! coalescing is disabled, as FMSA has no equivalent.
 
-use salssa::{FunctionMerger, MergeOptions, PairMerge};
+use salssa::{FunctionMerger, MergeOptions, PairMerge, Refused};
 use ssa_ir::{Function, Module};
 use ssa_passes::codesize::Target;
 use ssa_passes::{mem2reg, reg2mem};
@@ -104,14 +104,22 @@ impl FunctionMerger for FmsaMerger {
     /// the stack slots of the merged function back to registers. Slots whose
     /// address was merged into a `select` cannot be promoted — the effect at
     /// the core of the paper's motivating example.
-    fn merge_pair(&self, f1: &Function, f2: &Function, merged_name: &str) -> Option<PairMerge> {
-        let mut pair = salssa::merge_pair(f1, f2, &self.options(), merged_name)?;
+    fn merge_pair(
+        &self,
+        f1: &Function,
+        f2: &Function,
+        merged_name: &str,
+    ) -> Result<PairMerge, Refused> {
+        let mut pair =
+            salssa::merge_pair_with_distance(f1, f2, &self.options(), merged_name, None)?;
         mem2reg::promote_function(&mut pair.merged);
         ssa_passes::cleanup_function(&mut pair.merged);
         if !ssa_ir::verifier::verify_function(&pair.merged).is_empty() {
-            return None;
+            return Err(Refused {
+                alignment: pair.alignment,
+            });
         }
-        Some(pair)
+        Ok(pair)
     }
 
     fn target(&self) -> Target {

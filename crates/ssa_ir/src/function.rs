@@ -7,6 +7,7 @@ use crate::value::Value;
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A basic block: a label, leading phi-nodes, ordinary instructions and an
@@ -90,29 +91,19 @@ struct StructuralKey {
 /// the normalized print that backs [`Function::structural_key`].
 pub(crate) const STRUCTURAL_PLACEHOLDER: &str = "__odr_key__";
 
-/// Structural-key cache counters, registered in the telemetry metrics
-/// registry as `ssa_ir.structural_key.hits` / `.misses` so they share the
-/// snapshot/delta/reset lifecycle of every other pipeline metric. Reports
-/// snapshot them before and after a run and publish the delta as the cache
-/// hit rate.
-fn key_counters() -> &'static (telemetry::metrics::Counter, telemetry::metrics::Counter) {
-    static COUNTERS: OnceLock<(telemetry::metrics::Counter, telemetry::metrics::Counter)> =
-        OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        (
-            telemetry::registry().counter("ssa_ir.structural_key.hits"),
-            telemetry::registry().counter("ssa_ir.structural_key.misses"),
-        )
-    })
-}
+/// Structural-key cache lookups served from the cache, and full normalized
+/// re-prints. Process-wide: reports take the delta around their run, so
+/// concurrent runs in one process see each other's lookups.
+static KEY_HITS: AtomicU64 = AtomicU64::new(0);
+static KEY_MISSES: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the process-wide structural-key cache counters: `(hits,
 /// misses)`, where a miss is a full normalized re-print of a function body.
-/// Backed by the telemetry registry (`ssa_ir.structural_key.*`), so
-/// `telemetry::registry().reset()` zeroes them between test runs.
 pub fn structural_key_counters() -> (u64, u64) {
-    let (hits, misses) = key_counters();
-    (hits.get(), misses.get())
+    (
+        KEY_HITS.load(Ordering::Relaxed),
+        KEY_MISSES.load(Ordering::Relaxed),
+    )
 }
 
 /// A function in SSA (or, transiently, non-SSA) form.
@@ -258,16 +249,16 @@ impl Function {
     pub fn structural_key(&self) -> Arc<str> {
         if let Some(key) = self.structural_cache.get() {
             if key.name == self.name {
-                key_counters().0.inc();
+                KEY_HITS.fetch_add(1, Ordering::Relaxed);
                 return key.text.clone();
             }
             // Stale: the name was reassigned through the public field after
             // the key was computed. Recompute without caching (the slot is
             // already taken); `set_name` avoids this path.
-            key_counters().1.inc();
+            KEY_MISSES.fetch_add(1, Ordering::Relaxed);
             return crate::printer::print_function_normalized(self, STRUCTURAL_PLACEHOLDER).into();
         }
-        key_counters().1.inc();
+        KEY_MISSES.fetch_add(1, Ordering::Relaxed);
         let text: Arc<str> =
             crate::printer::print_function_normalized(self, STRUCTURAL_PLACEHOLDER).into();
         let _ = self.structural_cache.set(StructuralKey {

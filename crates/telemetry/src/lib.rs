@@ -1,6 +1,7 @@
-//! Telemetry for the SalSSA pipeline: spans, metrics, and decision provenance.
+//! Telemetry for the SalSSA pipeline: spans, histograms, and decision
+//! provenance.
 //!
-//! Three independent facilities share one design rule — **observational
+//! Independent facilities share one design rule — **observational
 //! purity**: enabling any of them must not change what the pipeline computes,
 //! only what it records about the computation. Equivalence tests in
 //! `tests/telemetry_suite.rs` enforce that merge records are bit-identical
@@ -10,9 +11,10 @@
 //!   thread (rayon-safe: the hot path touches only the current thread's own
 //!   buffer) and exported as Chrome Trace Event Format JSON for Perfetto.
 //!   When tracing is disabled a span costs one relaxed atomic load.
-//! * [`metrics`] — a process-wide registry of named counters, gauges, and
-//!   histograms with `snapshot()` / `delta_since()` / `reset()`, replacing
-//!   the scattered statics that `ssa_ir` and `fm_align` used to keep.
+//! * [`histogram`] — a plain power-of-two-bucket [`Histogram`] that reports
+//!   own and add up. There is no process-wide metrics registry: every count
+//!   a report prints is summed from what the run's own calls return, so
+//!   concurrent runs cannot leak into each other's reports.
 //! * [`decisions`] — the candidate-pair lifecycle (discovered → scored →
 //!   rejected(reason) → committed) as an ordered event log, exported as
 //!   JSONL and replayed by `salssa explain`.
@@ -33,8 +35,8 @@
 pub mod alloc;
 pub mod decisions;
 pub mod faultinject;
+pub mod histogram;
 pub mod jsonv;
-pub mod metrics;
 pub mod profile;
 pub mod span;
 
@@ -54,8 +56,9 @@ pub use decisions::{
     Decision, DecisionEvent, Pair, RejectReason,
 };
 pub use faultinject::{arm as arm_fault, disarm_all as disarm_faults, should_fail, trip};
-pub use metrics::{registry, MetricValue, MetricsSnapshot, Registry};
+pub use histogram::Histogram;
 pub use profile::{Profile, ProfileNode};
 pub use span::{
-    set_tracing, span, span_with, take_trace, timed_span, tracing_enabled, AllocDelta, Trace,
+    json_escape, set_tracing, span, span_with, take_trace, timed_span, tracing_enabled, AllocDelta,
+    Trace,
 };

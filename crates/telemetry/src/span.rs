@@ -312,7 +312,8 @@ pub fn take_trace() -> Trace {
     Trace { threads }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes a string for inclusion in a JSON string literal.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -473,5 +474,14 @@ mod tests {
         assert!(json.contains("\"ph\":\"B\""), "{json}");
         assert!(json.contains("\"cat\":\"test\""), "{json}");
         assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}"), "{json}");
+    }
+
+    #[test]
+    fn escaping_covers_quotes_and_control_characters() {
+        assert_eq!(json_escape(r#"a"b"#), r#"a\"b"#);
+        assert_eq!(json_escape("a\\b"), r"a\\b");
+        assert_eq!(json_escape("a\nb\t"), r"a\nb\t");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("plain.name-ok"), "plain.name-ok");
     }
 }

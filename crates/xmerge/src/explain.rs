@@ -258,7 +258,7 @@ pub fn explain_pair(
     // batches, with the discovery distance sizing the alignment band.
     let scored = score_cross(host.module, donor.module, f1, f2, &config.options, distance);
     let s = match scored {
-        Some(s) => {
+        Ok(s) => {
             ex.push("scoring", describe_score(modules, &s));
             if s.profit <= 0 {
                 ex.verdict = format!(
@@ -270,7 +270,7 @@ pub fn explain_pair(
             }
             s
         }
-        None => {
+        Err(_) => {
             ex.push(
                 "scoring",
                 "the merger refused the pair (no aligned merge could be built)".to_string(),

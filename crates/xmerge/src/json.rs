@@ -6,28 +6,10 @@
 //! add fields, never rename them.
 
 use crate::pipeline::CorpusMergeReport;
+use fm_align::AlignTally;
 use salssa::{ModuleMergeReport, PlanStats};
-use std::fmt::Write;
 use std::time::Duration;
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use telemetry::{json_escape, Histogram};
 
 fn ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1000.0)
@@ -97,12 +79,73 @@ fn prefilter_json(stats: &PlanStats) -> String {
     )
 }
 
-/// Serializes the `telemetry` block shared by both report schemas: a
-/// point-in-time snapshot of the process-wide metrics registry (counters,
-/// gauges, histogram summaries) taken at serialization time. Append-only:
-/// metric names are added, never renamed.
-fn telemetry_json() -> String {
-    telemetry::registry().snapshot().to_json()
+/// The counters of the `telemetry` block, in the block's (name) order: the
+/// run's own report values under the metric names the block has always
+/// carried. Every `align_*`, planner and commit count is the run's own; the
+/// structural-key pair is a delta of process-wide counters.
+/// `fm_align.full_matrix_runs` is always 0: no merge path runs the quadratic
+/// reference tier.
+fn telemetry_counters(
+    alignments: &AlignTally,
+    trimmed_entries: u64,
+    planner: &PlanStats,
+    commits: u64,
+    structural_keys: (u64, u64),
+) -> [(&'static str, u64); 15] {
+    [
+        ("fm_align.band.runs", alignments.band_runs),
+        ("fm_align.band.saturations", alignments.band_saturations),
+        ("fm_align.class_table.hits", alignments.class_table_hits),
+        ("fm_align.class_table.misses", alignments.class_table_misses),
+        ("fm_align.full_matrix_runs", 0),
+        ("fm_align.full_runs", alignments.full_runs),
+        ("fm_align.score_only_runs", alignments.score_only_runs),
+        ("fm_align.trimmed_entries", trimmed_entries),
+        ("plan.commits", commits),
+        ("plan.internal_errors", planner.internal_errors as u64),
+        ("plan.oracle.timeouts", planner.oracle_timeouts as u64),
+        ("plan.prefilter.checked", planner.prefilter_checked as u64),
+        ("plan.prefilter.rejected", planner.prefilter_rejected as u64),
+        ("ssa_ir.structural_key.hits", structural_keys.0),
+        ("ssa_ir.structural_key.misses", structural_keys.1),
+    ]
+}
+
+/// The `telemetry` counters of a corpus run (see [`corpus_report_json`]).
+pub fn corpus_telemetry_counters(report: &CorpusMergeReport) -> [(&'static str, u64); 15] {
+    telemetry_counters(
+        &report.alignments(),
+        report.align_trimmed_entries,
+        &report.planner,
+        (report.num_commits() + report.num_intra_merges()) as u64,
+        (report.cache_hits, report.cache_misses),
+    )
+}
+
+/// Serializes the `telemetry` block shared by both report schemas: the
+/// counters of [`telemetry_counters`], no gauges, and the distributions of
+/// aligned sequence lengths and committed profits. The shape and names are
+/// append-only.
+fn telemetry_json(
+    counters: &[(&str, u64)],
+    align_lengths: &Histogram,
+    commit_profits: &Histogram,
+) -> String {
+    let counters: Vec<String> = counters
+        .iter()
+        .map(|(name, value)| format!(r#""{name}":{value}"#))
+        .collect();
+    format!(
+        r#"{{"counters":{{{}}},"gauges":{{}},"histograms":{{"fm_align.alignment_length":{},"plan.commit_profit":{}}}}}"#,
+        counters.join(","),
+        align_lengths.to_json(),
+        commit_profits.to_json()
+    )
+}
+
+/// The distribution of committed profits (bytes saved per commit).
+fn profits(records: impl Iterator<Item = i64>) -> Histogram {
+    records.map(|p| p.max(0) as u64).collect()
 }
 
 /// Serializes the `resources` block shared by both report schemas: a
@@ -223,7 +266,17 @@ pub fn merge_report_json(
             &report.paranoid_delta,
             &report.paranoid_stats,
         ),
-        telemetry_json(),
+        telemetry_json(
+            &telemetry_counters(
+                &report.alignments(),
+                report.align_trimmed_entries,
+                &report.planner,
+                report.num_merges() as u64,
+                (report.cache_hits, report.cache_misses),
+            ),
+            &report.align_lengths,
+            &profits(report.committed.iter().map(|r| r.profit_bytes)),
+        ),
         resources_json(),
         recovery_json(report.functions_skipped, report.modules_recovered)
     )
@@ -336,7 +389,17 @@ pub fn corpus_report_json(report: &CorpusMergeReport) -> String {
             &report.paranoid_delta,
             &report.paranoid_stats,
         ),
-        telemetry_json(),
+        telemetry_json(
+            &corpus_telemetry_counters(report),
+            &report.align_lengths,
+            &profits(
+                report
+                    .committed
+                    .iter()
+                    .map(|r| r.profit_bytes)
+                    .chain(report.intra_committed.iter().map(|(_, r)| r.profit_bytes)),
+            ),
+        ),
         resources_json(),
         recovery_json(report.functions_skipped, report.modules_recovered)
     )
@@ -345,15 +408,6 @@ pub fn corpus_report_json(report: &CorpusMergeReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escaping_covers_quotes_and_control_characters() {
-        assert_eq!(json_escape(r#"a"b"#), r#"a\"b"#);
-        assert_eq!(json_escape("a\\b"), r"a\\b");
-        assert_eq!(json_escape("a\nb\t"), r"a\nb\t");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain.name-ok"), "plain.name-ok");
-    }
 
     #[test]
     fn corpus_json_is_well_formed_enough_to_eyeball() {
@@ -370,7 +424,11 @@ mod tests {
         assert!(json.contains(r#""band":{"runs":0,"saturations":0}"#));
         assert!(json.contains(r#""prefilter":{"checked":0,"rejected":0}"#));
         assert!(json.contains(r#""diagnostics":{"paranoid":false,"checks":0,"delta_count":0"#));
-        assert!(json.contains(r#""telemetry":{"counters":{"#));
+        assert!(json.contains(r#""telemetry":{"counters":{"fm_align.band.runs":0,"#));
+        assert!(json.contains(r#""plan.internal_errors":0,"plan.oracle.timeouts":0,"#));
+        assert!(
+            json.contains(r#""gauges":{},"histograms":{"fm_align.alignment_length":{"count":0,"#)
+        );
         assert!(json.contains(r#""recovery":{"functions_skipped":0,"modules_recovered":0}"#));
         assert!(json.contains(r#""internal_errors":0,"oracle_timeouts":0"#));
         // Retired counters stay in the append-only schema as constant zeros.

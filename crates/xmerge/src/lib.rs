@@ -51,7 +51,7 @@ pub mod pipeline;
 pub use discover::{discover, CandidatePair, DiscoveryConfig};
 pub use explain::{explain_pair, ExplainStep, Explanation};
 pub use index::{CorpusIndex, FunctionSummary, IndexReuse, ModuleIndex};
-pub use json::{corpus_report_json, json_escape, merge_report_json};
+pub use json::{corpus_report_json, corpus_telemetry_counters, merge_report_json};
 pub use pipeline::{
     xmerge_corpus, xmerge_corpus_with_index, CorpusMergeReport, CrossMergeRecord, FixpointConfig,
     HostPolicy, ModuleStats, XMergeConfig,

@@ -51,11 +51,11 @@
 use crate::discover::{discover, CandidatePair, DiscoveryConfig};
 use crate::index::{CorpusIndex, IndexReuse};
 use callgraph::{module_regions, CallGraph, CallIndexReuse, CorpusCallIndex};
-use fm_align::MinHash;
+use fm_align::{AlignTally, AlignmentStats, MinHash};
 use salssa::plan::{run_plan, CandidateSource, CommitOutcome, PlanStats, ScoreMode};
 use salssa::{
-    build_thunk, merge_module, merge_pair, merge_pair_with_distance, DriverConfig, MergeOptions,
-    MergeRecord, SalSsaMerger, SEMANTIC_SAMPLES, SEMANTIC_SEED,
+    build_thunk, merge_module, merge_pair_with_distance, DriverConfig, MergeOptions, MergeRecord,
+    Refused, SalSsaMerger, SEMANTIC_SAMPLES, SEMANTIC_SEED,
 };
 use ssa_ir::{
     callees_of, import_function, link_modules_with_renames, sanitize_symbol,
@@ -65,7 +65,9 @@ use ssa_passes::codesize::function_size_bytes;
 use ssa_passes::module_size_bytes;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::sync::Mutex;
 use std::time::Duration;
+use telemetry::Histogram;
 
 /// How the cross-module pipeline decides which module hosts a merged body.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -308,9 +310,12 @@ pub struct CorpusMergeReport {
     /// Planner-engine statistics (cross rounds and interleaved intra passes
     /// folded together).
     pub planner: PlanStats,
-    /// Structural-key cache hits observed during this run.
+    /// Structural-key cache hits observed during this run. The cache
+    /// counters are process-wide, so this delta includes concurrent runs'
+    /// lookups.
     pub cache_hits: u64,
-    /// Structural-key cache misses (normalized re-prints) during this run.
+    /// Structural-key cache misses (normalized re-prints) during this run;
+    /// process-wide like [`Self::cache_hits`].
     pub cache_misses: u64,
     /// Index reuse of the incremental (re-)builds, summed over rounds.
     pub index_reuse: IndexReuse,
@@ -337,17 +342,25 @@ pub struct CorpusMergeReport {
     pub align_cells: u64,
     /// Match pairs resolved by prefix/suffix trimming instead of DP.
     pub align_trimmed_entries: u64,
-    /// Score-only alignment runs during this pipeline run (counter delta).
+    /// Score-only alignment runs this pipeline run made (the pre-filter's
+    /// gray-zone passes, cross and intra).
     pub align_score_only_runs: u64,
-    /// Full (traceback) alignment runs during this pipeline run (counter
-    /// delta).
+    /// Traceback alignment runs this pipeline run made: every scored pair,
+    /// refused ones included, plus each commit's re-alignment.
     pub align_full_runs: u64,
-    /// Banded DP attempts during this pipeline run (counter delta across
-    /// both alignment tiers).
+    /// Banded DP attempts across both alignment tiers.
     pub align_band_runs: u64,
     /// Banded attempts that saturated their corridor and fell back to the
-    /// exact tier (counter delta; a subset of [`Self::align_band_runs`]).
+    /// exact tier (a subset of [`Self::align_band_runs`]).
     pub align_band_saturations: u64,
+    /// Class-table lookups of this run's alignments and pre-filter checks
+    /// that found the table cached on the function.
+    pub align_class_table_hits: u64,
+    /// Class-table builds of this run's alignments and pre-filter checks.
+    pub align_class_table_misses: u64,
+    /// Aligned sequence lengths (`n + m`) of every alignment run counted
+    /// above.
+    pub align_lengths: Histogram,
     /// Whether paranoid post-commit re-analysis was enabled for this run.
     pub paranoid: bool,
     /// Post-commit re-analysis checks performed (0 unless
@@ -403,6 +416,30 @@ impl CorpusMergeReport {
         } else {
             self.cache_hits as f64 / total as f64
         }
+    }
+
+    /// The run's alignment sums, as held in the `align_*` run fields.
+    pub(crate) fn alignments(&self) -> AlignTally {
+        AlignTally {
+            score_only_runs: self.align_score_only_runs,
+            full_runs: self.align_full_runs,
+            band_runs: self.align_band_runs,
+            band_saturations: self.align_band_saturations,
+            class_table_hits: self.align_class_table_hits,
+            class_table_misses: self.align_class_table_misses,
+            lengths: self.align_lengths,
+        }
+    }
+
+    /// Stores a run's alignment sums in the `align_*` run fields.
+    fn set_alignments(&mut self, tally: &AlignTally) {
+        self.align_score_only_runs = tally.score_only_runs;
+        self.align_full_runs = tally.full_runs;
+        self.align_band_runs = tally.band_runs;
+        self.align_band_saturations = tally.band_saturations;
+        self.align_class_table_hits = tally.class_table_hits;
+        self.align_class_table_misses = tally.class_table_misses;
+        self.align_lengths = tally.lengths;
     }
 }
 
@@ -551,10 +588,9 @@ pub(crate) struct ScoredCross {
     pub(crate) profit: i64,
     pub(crate) sizes: (usize, usize, usize),
     pub(crate) odr_dedup: bool,
-    /// Alignment instrumentation of the trial merge (zeroed for an ODR
-    /// dedup, which never aligns): live DP peak, hypothetical full-matrix
-    /// bytes, cells, trimmed entries.
-    pub(crate) align: (u64, u64, u64, usize),
+    /// Alignment instrumentation of the trial merge (`None` for an ODR
+    /// dedup, which never aligns).
+    pub(crate) alignment: Option<AlignmentStats>,
 }
 
 /// Identity of one cross-module candidate pair: host module index, donor
@@ -618,6 +654,9 @@ struct CrossSource<'a> {
     align_peak_full: u64,
     align_cells: u64,
     align_trimmed: u64,
+    /// Every alignment and pre-filter check of the round. Behind a lock
+    /// because speculative scoring runs on rayon workers through `&self`.
+    alignments: Mutex<AlignTally>,
     /// Paranoid monitor of the run; `None` unless [`XMergeConfig::paranoid`]
     /// is set.
     paranoid: Option<&'a mut analysis::ParanoidMonitor>,
@@ -662,6 +701,7 @@ impl<'a> CrossSource<'a> {
             align_peak_full: 0,
             align_cells: 0,
             align_trimmed: 0,
+            alignments: Mutex::new(AlignTally::default()),
             paranoid,
             distances,
         }
@@ -766,14 +806,25 @@ impl CandidateSource for CrossSource<'_> {
         let (hi, di, f1n, f2n) = key;
         let f1 = self.modules[*hi].function(f1n)?;
         let f2 = self.modules[*di].function(f2n)?;
-        score_cross(
+        let scored = score_cross(
             *hi,
             *di,
             f1,
             f2,
             &self.config.options,
             self.distance_of(key),
-        )
+        );
+        let stats = match &scored {
+            Ok(s) => s.alignment,
+            Err(refused) => Some(refused.alignment),
+        };
+        if let Some(stats) = stats {
+            self.alignments
+                .lock()
+                .expect("no thread panics while counting an alignment")
+                .add(&stats);
+        }
+        scored.ok()
     }
 
     fn profit(score: &ScoredCross) -> i64 {
@@ -800,7 +851,12 @@ impl CandidateSource for CrossSource<'_> {
             .options
             .band
             .map(|slack| fm_align::Band::from_hint(slack, self.distance_of(key)));
-        fm_align::prefilter_rejects(f1, f2, self.config.options.target, band)
+        let check = fm_align::prefilter_check(f1, f2, self.config.options.target, band);
+        self.alignments
+            .lock()
+            .expect("no thread panics while counting an alignment")
+            .add_prefilter(&check);
+        check.rejects
     }
 
     /// Derives the commit schedule: every successfully scored pair, most
@@ -812,11 +868,11 @@ impl CandidateSource for CrossSource<'_> {
         for (key, score) in cache.iter() {
             let Some(s) = score.as_ref() else { continue };
             scored.push((key.clone(), s.profit, s.odr_dedup));
-            let (live, full, cells, trimmed) = s.align;
-            self.align_peak_live = self.align_peak_live.max(live);
-            self.align_peak_full = self.align_peak_full.max(full);
-            self.align_cells = self.align_cells.saturating_add(cells);
-            self.align_trimmed += trimmed as u64;
+            let a = s.alignment.unwrap_or_default();
+            self.align_peak_live = self.align_peak_live.max(a.matrix_bytes);
+            self.align_peak_full = self.align_peak_full.max(a.full_matrix_bytes);
+            self.align_cells = self.align_cells.saturating_add(a.cells);
+            self.align_trimmed += a.trimmed as u64;
         }
         self.attempts = scored.len();
         scored.sort_by(|(xk, xp, _), (yk, yp, _)| {
@@ -907,6 +963,10 @@ impl CandidateSource for CrossSource<'_> {
             s.f2
         );
         let (forced_edges, saved_edges) = self.edge_stats(&s);
+        let alignments = self
+            .alignments
+            .get_mut()
+            .expect("no thread panics while counting an alignment");
         // Savings the speculative score could not see (host-side ODR dedup
         // during the import), reported on top of the scored profit.
         let extra_profit: i64;
@@ -934,6 +994,7 @@ impl CandidateSource for CrossSource<'_> {
                     &s,
                     &merged_name,
                     &self.config.options,
+                    alignments,
                 )
             };
             let Some(profit) = outcome else {
@@ -990,7 +1051,14 @@ impl CandidateSource for CrossSource<'_> {
             let outcome = if s.odr_dedup {
                 apply_dedup(host, donor, &s.f2)
             } else {
-                apply_commit(host, donor, &s, &merged_name, &self.config.options)
+                apply_commit(
+                    host,
+                    donor,
+                    &s,
+                    &merged_name,
+                    &self.config.options,
+                    alignments,
+                )
             };
             let Some(profit) = outcome else {
                 return CommitOutcome::Skipped;
@@ -1078,7 +1146,6 @@ fn run_pipeline(
         config.num_hashes
     };
     let (hits0, misses0) = structural_key_counters();
-    let align0 = fm_align::alignment_counters();
     uniquify_module_names(modules);
     // The paranoid baseline is captured after name uniquification so its
     // fingerprints use the same module names every later check sees.
@@ -1123,6 +1190,7 @@ fn run_pipeline(
     // `--index` persists (later rounds summarize partially merged modules).
     let mut input_index: Option<CorpusIndex> = None;
     let mut input_calls: Option<CorpusCallIndex> = None;
+    let mut alignments = AlignTally::default();
     for _round in 0..max_rounds {
         let _round_span = telemetry::span_with("xmerge.round", || format!("round {_round}"));
         // Re-index: unchanged modules reuse their summaries via the
@@ -1243,6 +1311,12 @@ fn run_pipeline(
             .max(source.align_peak_full);
         report.align_cells = report.align_cells.saturating_add(source.align_cells);
         report.align_trimmed_entries += source.align_trimmed;
+        alignments.absorb(
+            &source
+                .alignments
+                .into_inner()
+                .expect("no thread panics while counting an alignment"),
+        );
         for r in &committed {
             report.forced_cross_edges += u64::from(r.forced_edges);
             report.saved_cross_edges += u64::from(r.saved_edges);
@@ -1300,6 +1374,7 @@ fn run_pipeline(
                     .max(intra_report.peak_full_matrix_bytes);
                 report.align_cells = report.align_cells.saturating_add(intra_report.total_cells);
                 report.align_trimmed_entries += intra_report.align_trimmed_entries;
+                alignments.absorb(&intra_report.alignments());
                 report.intra_committed.extend(
                     intra_report
                         .committed
@@ -1338,11 +1413,7 @@ fn run_pipeline(
     let (hits1, misses1) = structural_key_counters();
     report.cache_hits = hits1.saturating_sub(hits0);
     report.cache_misses = misses1.saturating_sub(misses0);
-    let align1 = fm_align::alignment_counters();
-    report.align_score_only_runs = align1.score_only_runs - align0.score_only_runs;
-    report.align_full_runs = align1.full_runs - align0.full_runs;
-    report.align_band_runs = align1.band_runs - align0.band_runs;
-    report.align_band_saturations = align1.band_saturations - align0.band_saturations;
+    report.set_alignments(&alignments);
 
     if !want_input_index {
         return (report, None, None);
@@ -1363,14 +1434,14 @@ pub(crate) fn score_cross(
     f2: &Function,
     options: &MergeOptions,
     distance: Option<u64>,
-) -> Option<ScoredCross> {
+) -> Result<ScoredCross, Refused> {
     let target = options.target;
     if f1.name == f2.name && f1.linkage == Linkage::External && structurally_equal(f1, f2) {
         // ODR-identical external copies: dropping the donor's copy saves its
         // whole footprint minus nothing — no merge needed. (Internal copies
         // are distinct symbols; dropping one would leave the donor's
         // declaration unresolvable, so they go through a genuine merge.)
-        return Some(ScoredCross {
+        return Ok(ScoredCross {
             host,
             donor,
             f1: f1.name.clone(),
@@ -1378,7 +1449,7 @@ pub(crate) fn score_cross(
             profit: function_size_bytes(f2, target) as i64,
             sizes: (f1.num_insts(), f2.num_insts(), 0),
             odr_dedup: true,
-            align: (0, 0, 0, 0),
+            alignment: None,
         });
     }
     let pair = merge_pair_with_distance(f1, f2, options, "merged.xm.trial", distance)?;
@@ -1388,7 +1459,7 @@ pub(crate) fn score_cross(
         - function_size_bytes(&pair.merged, target) as i64
         - function_size_bytes(&thunk1, target) as i64
         - function_size_bytes(&thunk2, target) as i64;
-    Some(ScoredCross {
+    Ok(ScoredCross {
         host,
         donor,
         f1: f1.name.clone(),
@@ -1396,12 +1467,7 @@ pub(crate) fn score_cross(
         profit,
         sizes: (f1.num_insts(), f2.num_insts(), pair.merged.num_insts()),
         odr_dedup: false,
-        align: (
-            pair.alignment.matrix_bytes,
-            pair.alignment.full_matrix_bytes,
-            pair.alignment.cells,
-            pair.alignment.trimmed,
-        ),
+        alignment: Some(pair.alignment),
     })
 }
 
@@ -1545,18 +1611,25 @@ pub(crate) fn uniquify_module_names(modules: &mut [Module]) {
 /// Returns the byte savings the speculative score could not see: when the
 /// host held its own ODR-identical copy of `f2`, that copy is replaced by a
 /// thunk too, saving its footprint on top of the scored profit. Zero in the
-/// common no-dedup case.
+/// common no-dedup case. The re-alignment is counted in `alignments`.
 fn apply_commit(
     host: &mut Module,
     donor: &mut Module,
     s: &ScoredCross,
     merged_name: &str,
     options: &MergeOptions,
+    alignments: &mut AlignTally,
 ) -> Option<i64> {
     let outcome = import_function(host, donor, &s.f2).ok()?;
     let original_f1 = host.function(&s.f1)?.clone();
     let original_f2 = host.function(&outcome.name)?.clone();
-    let Some(pair) = merge_pair(&original_f1, &original_f2, options, merged_name) else {
+    let merged = merge_pair_with_distance(&original_f1, &original_f2, options, merged_name, None);
+    alignments.add(
+        &merged
+            .as_ref()
+            .map_or_else(|r| r.alignment, |p| p.alignment),
+    );
+    let Ok(pair) = merged else {
         if !outcome.deduped {
             host.remove_function(&outcome.name);
         }
@@ -1636,16 +1709,19 @@ mod tests {
             profit: 1,
             sizes: (10, 10, 0),
             odr_dedup: false,
-            align: (0, 0, 0, 0),
+            alignment: None,
         };
+        let mut alignments = AlignTally::default();
         let extra = apply_commit(
             &mut host,
             &mut donor,
             &s,
             "merged.t",
             &MergeOptions::default(),
+            &mut alignments,
         )
         .expect("commit must succeed");
+        assert_eq!(alignments.full_runs, 1, "the commit re-aligns the pair");
         assert!(
             extra > 0,
             "host's deduped @g copy must add savings: {extra}"
@@ -1700,7 +1776,7 @@ mod tests {
             profit: 1,
             sizes: (10, 10, 8),
             odr_dedup: false,
-            align: (0, 0, 0, 0),
+            alignment: None,
         };
         assert!(
             !has_odr_hazard(&modules, &def_sites, &s),
@@ -1758,7 +1834,7 @@ mod tests {
             profit: 1,
             sizes: (3, 3, 3),
             odr_dedup: false,
-            align: (0, 0, 0, 0),
+            alignment: None,
         };
         assert!(
             has_odr_hazard(&modules, &def_sites, &merge),

@@ -52,7 +52,7 @@ fn carry_corpus() -> Vec<Module> {
 }
 
 #[test]
-fn oracle_before_links_are_carried_across_fixpoint_rounds() {
+fn every_fixpoint_round_links_fresh_before_and_after_programs() {
     let mut corpus = carry_corpus();
     let config = XMergeConfig::new()
         .with_check_semantics(true)
@@ -82,7 +82,7 @@ fn oracle_before_links_are_carried_across_fixpoint_rounds() {
 }
 
 #[test]
-fn hazard_verdicts_are_reused_for_untainted_components() {
+fn single_round_skips_the_odr_hazard_with_two_links_per_oracle_run() {
     let mut corpus = carry_corpus();
     let config = XMergeConfig::new().with_check_semantics(true);
     let report = xmerge_corpus(&mut corpus, &config);
