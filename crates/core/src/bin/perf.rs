@@ -28,9 +28,10 @@ use telemetry::jsonv::{parse_json, JsonValue};
 const DEFAULT_WALL_TOLERANCE: f64 = 20.0;
 
 /// Headroom factor applied to the measured allocator peak when writing a
-/// baseline ceiling. The peak varies with worker parallelism (more cores →
-/// more batches in flight), so the ceiling must hold on machines with more
-/// cores than the one that wrote it.
+/// baseline ceiling. Scoring batches run one after another, but each batch
+/// scores one pair per core at a time, so the peak grows with the core count
+/// (more trial merges live at once); the ceiling must hold on machines with
+/// more cores than the one that wrote it.
 const PEAK_CEILING_HEADROOM: f64 = 2.5;
 
 pub(crate) fn run_perf(cli: &Cli) -> ExitCode {

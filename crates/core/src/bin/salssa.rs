@@ -61,7 +61,7 @@
 mod perf;
 
 use callgraph::{CallGraph, CorpusCallIndex};
-use salssa::{merge_module, DriverConfig, DriverMode, MergeOptions, SalSsaMerger};
+use salssa::{merge_module, DriverConfig, MergeOptions, SalSsaMerger};
 use ssa_ir::verifier::verify_module;
 use ssa_ir::{parse_module, print_module, Module};
 use ssa_passes::codesize::Target;
@@ -107,9 +107,6 @@ options:
   -t, --threshold <N>    exploration threshold: ranked candidates tried per
                          function (default 1; xmerge default 3)
       --min-size <N>     skip functions smaller than N instructions (default 3)
-      --sequential       score candidate pairs inline on one thread
-      --parallel         score candidate pairs on all cores (default)
-      --batch-size <N>   candidate pairs per parallel scoring batch (default 128)
       --check-semantics  differentially test every commit with the reference
                          interpreter and reject mismatches
       --oracle-fuel <N>  cap each semantic-oracle execution at N interpreter
@@ -224,7 +221,7 @@ struct Cli {
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut command: Option<Command> = None;
     let mut inputs: Vec<String> = Vec::new();
-    let mut config = DriverConfig::default().with_mode(DriverMode::Parallel);
+    let mut config = DriverConfig::default();
     let mut options = MergeOptions::default();
     let mut threshold_set = false;
     let mut print_module = false;
@@ -269,14 +266,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     .parse()
                     .map_err(|e| format!("bad {arg}: {e}"))?;
             }
-            "--batch-size" => {
-                let n: usize = value_for(arg)?
-                    .parse()
-                    .map_err(|e| format!("bad {arg}: {e}"))?;
-                config = config.with_batch_size(n);
-            }
-            "--sequential" => config.mode = DriverMode::Sequential,
-            "--parallel" => config.mode = DriverMode::Parallel,
             "--check-semantics" => config.check_semantics = true,
             "--oracle-fuel" => {
                 config.oracle_fuel = Some(
@@ -664,8 +653,8 @@ fn run_merge(cli: &Cli) -> ExitCode {
         } else {
             writeln!(
                 out,
-                "{}: {} functions, {} bytes modelled ({:?} scoring, threshold {})",
-                input, functions_before, size_before, cli.config.mode, cli.config.threshold
+                "{}: {} functions, {} bytes modelled (threshold {})",
+                input, functions_before, size_before, cli.config.threshold
             )?;
             writeln!(out, "{report}")?;
             writeln!(
@@ -739,7 +728,6 @@ fn xmerge_config(cli: &Cli) -> XMergeConfig {
         .with_prefilter(cli.config.prefilter)
         .with_oracle_fuel(cli.config.oracle_fuel);
     config.options = cli.options;
-    config.batch_size = cli.config.batch_size;
     config.discovery.min_function_size = cli.config.min_function_size;
     if cli.threshold_set {
         config.discovery.max_candidates_per_fn = cli.config.threshold;

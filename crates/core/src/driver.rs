@@ -8,21 +8,13 @@
 //! committed, replacing the two originals with the merged function plus two
 //! thin thunks that preserve the external interface.
 //!
-//! Two execution modes produce identical results ([`DriverMode`]):
-//!
-//! - [`DriverMode::Sequential`] scores each candidate pair inline, exactly as
-//!   the paper describes;
-//! - [`DriverMode::Parallel`] speculatively scores the fingerprint-ranked
-//!   candidate pairs concurrently in batches (alignment and code generation
-//!   are read-only on the module, so they parallelize freely) and then
-//!   replays the sequential commit schedule against the score cache, falling
-//!   back to inline scoring for the rare pair the speculation missed. Commits
-//!   stay sequential and profit-ordered, so the committed
-//!   [`MergeRecord`]s are bit-identical to the sequential mode's.
+//! Candidates are scored as the loop reaches them, exactly as the paper
+//! describes: only the pairs the loop examines are aligned, and the winner's
+//! merged body is committed as scored.
 
 use crate::merge::{self, PairMerge, Refused};
 use crate::options::MergeOptions;
-use crate::plan::{run_plan, CandidateSource, CommitOutcome, PlanStats, ScoreMode};
+use crate::plan::{run_plan, CandidateSource, CommitOutcome, PlanStats};
 use fm_align::{AlignTally, Band, Ranking};
 use ssa_ir::{structural_key_counters, Function, InstKind, Module, Type, Value};
 use ssa_passes::codesize::{function_size_bytes, Target};
@@ -33,7 +25,7 @@ use std::time::Duration;
 use telemetry::Histogram;
 
 /// A technique that can merge two functions (SalSSA, or the FMSA baseline in
-/// the `fmsa` crate). `Sync` is required so the parallel driver can score
+/// the `fmsa` crate). `Sync` is required because the planner may score
 /// candidate pairs from worker threads; mergers are plain configuration data.
 pub trait FunctionMerger: Sync {
     /// Short name used in reports ("salssa", "fmsa", ...).
@@ -93,15 +85,11 @@ impl FunctionMerger for SalSsaMerger {
     }
 }
 
-/// How the driver schedules candidate-pair scoring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Selects nothing: the driver has one scoring schedule. Kept, with
+/// [`DriverConfig::with_mode`], only for callers that still name it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverMode {
-    /// Score each pair inline while walking the size-ordered function list.
-    #[default]
-    Sequential,
-    /// Speculatively score ranked pairs on all cores, then replay the
-    /// sequential commit schedule against the cache. Produces the same
-    /// committed merges as [`DriverMode::Sequential`].
+    /// The only variant; changes nothing.
     Parallel,
 }
 
@@ -113,14 +101,6 @@ pub struct DriverConfig {
     pub threshold: usize,
     /// Functions smaller than this many IR instructions are not considered.
     pub min_function_size: usize,
-    /// Sequential or parallel candidate scoring.
-    pub mode: DriverMode,
-    /// Granularity of speculative scoring in parallel mode: candidate pairs
-    /// are scored in batches of this size, each batch a parallel map that is
-    /// joined before the next starts. Only lightweight scores (profit and
-    /// instrumentation, no merged bodies) accumulate in the score cache until
-    /// the commit replay consumes them. Irrelevant in sequential mode.
-    pub batch_size: usize,
     /// Opt-in semantic oracle: differentially test every would-be commit with
     /// the reference interpreter ([`ssa_interp::differential_check`]) on
     /// deterministic random inputs, and reject (skip) merges whose thunked
@@ -159,8 +139,6 @@ impl Default for DriverConfig {
         DriverConfig {
             threshold: 1,
             min_function_size: 3,
-            mode: DriverMode::Sequential,
-            batch_size: 128,
             check_semantics: false,
             paranoid: false,
             prefilter: true,
@@ -178,25 +156,9 @@ impl DriverConfig {
         }
     }
 
-    /// Switches the driver to [`DriverMode::Parallel`].
-    pub fn parallel(self) -> DriverConfig {
-        DriverConfig {
-            mode: DriverMode::Parallel,
-            ..self
-        }
-    }
-
-    /// Sets the execution mode.
-    pub fn with_mode(self, mode: DriverMode) -> DriverConfig {
-        DriverConfig { mode, ..self }
-    }
-
-    /// Sets the parallel scoring batch size (clamped to at least 1).
-    pub fn with_batch_size(self, batch_size: usize) -> DriverConfig {
-        DriverConfig {
-            batch_size: batch_size.max(1),
-            ..self
-        }
+    /// Returns the configuration unchanged: [`DriverMode`] selects nothing.
+    pub fn with_mode(self, _mode: DriverMode) -> DriverConfig {
+        self
     }
 
     /// Enables or disables the differential semantic oracle.
@@ -280,8 +242,8 @@ pub struct ModuleMergeReport {
     /// (one cheap DP sharpening the histogram bound before codegen-based
     /// scoring).
     pub align_score_only_runs: u64,
-    /// Traceback alignment runs this run made: every scored pair, refused
-    /// ones included, plus each winner regenerated at commit time.
+    /// Traceback alignment runs this run made: one per scored pair, refused
+    /// ones included.
     pub align_full_runs: u64,
     /// Banded DP attempts across both alignment tiers.
     pub align_band_runs: u64,
@@ -306,8 +268,8 @@ pub struct ModuleMergeReport {
     /// [`DriverConfig::check_semantics`] is on; nonzero means the merger
     /// produced observably wrong code and the driver refused to commit it).
     pub semantic_rejections: usize,
-    /// Planner-engine statistics: candidates examined, speculative vs. inline
-    /// scores, phase timings.
+    /// Planner-engine statistics: candidates examined, pairs scored, phase
+    /// timings.
     pub planner: PlanStats,
     /// Whether paranoid post-commit re-analysis was enabled for this run.
     pub paranoid: bool,
@@ -443,24 +405,11 @@ impl fmt::Display for ModuleMergeReport {
     }
 }
 
-/// The outcome of scoring one candidate pair, independent of module mutations
-/// until one of the two functions is removed (inputs are immutable while they
-/// live in the module, so speculative scores stay valid during the commit
-/// replay).
+/// The outcome of scoring one candidate pair: its modelled profit and the
+/// trial merge, which the commit adopts if the pair wins its group.
 struct ScoredCandidate {
     profit: i64,
-    align_time: Duration,
-    codegen_time: Duration,
-    matrix_bytes: u64,
-    full_matrix_bytes: u64,
-    cells: u64,
-    trimmed: usize,
-    /// The merged function. Inline scoring keeps it when profitable (it is
-    /// committed straight away); speculative scoring drops it — retaining a
-    /// body per profitable pair module-wide would dominate memory, so the
-    /// replay recomputes the one winning merge per commit instead
-    /// (`merge_pair` is deterministic, so the recomputed result is identical).
-    pair: Option<PairMerge>,
+    pair: PairMerge,
 }
 
 /// The intra-module [`CandidateSource`]: fingerprint ranking provides the
@@ -479,7 +428,7 @@ struct IntraSource<'a> {
     report: &'a mut ModuleMergeReport,
     paranoid: Option<analysis::ParanoidMonitor>,
     /// Every alignment and pre-filter check of the run. Behind a lock
-    /// because speculative scoring runs on rayon workers through `&self`.
+    /// because scoring and pre-filtering count through `&self`.
     alignments: Mutex<AlignTally>,
 }
 
@@ -505,49 +454,11 @@ impl CandidateSource for IntraSource<'_> {
     type Score = ScoredCandidate;
     type Record = MergeRecord;
 
-    /// The speculation looks somewhat past the exploration threshold
-    /// (`threshold + slack` candidates per function, ranked with an empty
-    /// exclusion set) because committed merges remove functions from the
-    /// ranking and pull deeper candidates into the top `t`; pairs the
-    /// speculation still misses are scored inline during the replay.
-    fn speculative_keys(&self) -> Vec<(String, String)> {
-        let config = self.config;
-        let slack = config.threshold.max(1);
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for name in &self.order {
-            let Some(f1) = self.module.function(name) else {
-                continue;
-            };
-            if f1.num_insts() < config.min_function_size {
-                continue;
-            }
-            for candidate in self.ranking.candidates(name, config.threshold + slack, &[]) {
-                let viable = self
-                    .module
-                    .function(&candidate)
-                    .is_some_and(|f2| f2.num_insts() >= config.min_function_size);
-                if viable {
-                    pairs.push((name.clone(), candidate));
-                }
-            }
-        }
-        pairs
-    }
-
-    fn score(&self, key: &(String, String), keep_artifacts: bool) -> Option<ScoredCandidate> {
+    fn score(&self, key: &(String, String)) -> Option<ScoredCandidate> {
         let (f1, f2) = (self.module.function(&key.0)?, self.module.function(&key.1)?);
         let pair = self.merge_pair(f1, f2)?;
         let profit = estimate_profit(self.module, &key.0, &key.1, &pair, self.merger.target());
-        Some(ScoredCandidate {
-            profit,
-            align_time: pair.align_time,
-            codegen_time: pair.codegen_time,
-            matrix_bytes: pair.alignment.matrix_bytes,
-            full_matrix_bytes: pair.alignment.full_matrix_bytes,
-            cells: pair.alignment.cells,
-            trimmed: pair.alignment.trimmed,
-            pair: (keep_artifacts && profit > 0).then_some(pair),
-        })
+        Some(ScoredCandidate { profit, pair })
     }
 
     fn profit(score: &ScoredCandidate) -> i64 {
@@ -624,16 +535,17 @@ impl CandidateSource for IntraSource<'_> {
     }
 
     fn observe(&mut self, _key: &(String, String), scored: &ScoredCandidate) {
+        let (pair, alignment) = (&scored.pair, &scored.pair.alignment);
         self.report.attempts += 1;
-        self.report.align_time += scored.align_time;
-        self.report.codegen_time += scored.codegen_time;
-        self.report.peak_matrix_bytes = self.report.peak_matrix_bytes.max(scored.matrix_bytes);
+        self.report.align_time += pair.align_time;
+        self.report.codegen_time += pair.codegen_time;
+        self.report.peak_matrix_bytes = self.report.peak_matrix_bytes.max(alignment.matrix_bytes);
         self.report.peak_full_matrix_bytes = self
             .report
             .peak_full_matrix_bytes
-            .max(scored.full_matrix_bytes);
-        self.report.total_cells = self.report.total_cells.saturating_add(scored.cells);
-        self.report.align_trimmed_entries += scored.trimmed as u64;
+            .max(alignment.full_matrix_bytes);
+        self.report.total_cells = self.report.total_cells.saturating_add(alignment.cells);
+        self.report.align_trimmed_entries += alignment.trimmed as u64;
     }
 
     fn commit(
@@ -641,21 +553,7 @@ impl CandidateSource for IntraSource<'_> {
         (name, candidate): (String, String),
         scored: ScoredCandidate,
     ) -> CommitOutcome<MergeRecord> {
-        let profit = scored.profit;
-        // Speculatively scored winners dropped their merged body to keep
-        // memory bounded; regenerate it (merge_pair is deterministic).
-        let pair = scored.pair.unwrap_or_else(|| {
-            let (f1, f2) = (
-                self.module
-                    .function(&name)
-                    .expect("winner's f1 must be live"),
-                self.module
-                    .function(&candidate)
-                    .expect("winner's f2 must be live"),
-            );
-            self.merge_pair(f1, f2)
-                .expect("a scored profitable pair must merge deterministically")
-        });
+        let ScoredCandidate { profit, pair } = scored;
         let record = if self.config.check_semantics {
             // Trial-commit on a copy and interrogate it with the interpreter;
             // only adopt the copy when both original entry points still
@@ -715,12 +613,8 @@ impl CandidateSource for IntraSource<'_> {
     }
 }
 
-/// Runs whole-module function merging with the given technique.
-///
-/// Both [`DriverMode`]s are thin adapters over the unified planner engine
-/// ([`crate::plan`]): with [`DriverMode::Parallel`] the candidate pairs are
-/// scored concurrently up front; the commit schedule itself is always
-/// sequential and both modes commit identical [`MergeRecord`]s.
+/// Runs whole-module function merging with the given technique, as a thin
+/// adapter over the unified planner engine ([`crate::plan`]).
 pub fn merge_module(
     module: &mut Module,
     merger: &dyn FunctionMerger,
@@ -743,12 +637,6 @@ pub fn merge_module(
     let ranking = Ranking::build(module);
     let order = ranking.names_by_size_desc();
     drop(rank_span);
-    let mode = match config.mode {
-        DriverMode::Sequential => ScoreMode::Inline,
-        DriverMode::Parallel => ScoreMode::Speculative {
-            batch_size: config.batch_size,
-        },
-    };
     let mut source = IntraSource {
         module,
         merger,
@@ -761,7 +649,7 @@ pub fn merge_module(
         paranoid,
         alignments: Mutex::new(AlignTally::default()),
     };
-    let (committed, stats) = run_plan(&mut source, mode);
+    let (committed, stats) = run_plan(&mut source);
     let paranoid = source.paranoid.take();
     let alignments = source
         .alignments
@@ -1057,6 +945,7 @@ entry:
         let merger = SalSsaMerger::default();
         let report = merge_module(&mut module, &merger, &DriverConfig::with_threshold(0));
         assert_eq!(report.attempts, 0);
+        assert_eq!(report.align_full_runs, 0);
         assert_eq!(report.num_merges(), 0);
     }
 
@@ -1107,18 +996,14 @@ entry:
     }
 
     #[test]
-    fn speculative_scoring_never_allocates_a_full_matrix() {
-        // The acceptance criterion of the linear-space engine: the planner's
-        // speculative batch scorer (and the commit replay) must only use the
-        // rolling/divide-and-conquer tiers, so no alignment ever holds as
-        // many live DP bytes as the full score matrix would take.
+    fn no_alignment_holds_a_full_score_matrix() {
+        // The acceptance criterion of the linear-space engine: scoring must
+        // only use the rolling/divide-and-conquer tiers, so no alignment
+        // ever holds as many live DP bytes as the full score matrix would
+        // take.
         let merger = RecordingMerger::default();
         let mut module = clone_heavy_module();
-        let report = merge_module(
-            &mut module,
-            &merger,
-            &DriverConfig::with_threshold(2).parallel(),
-        );
+        let report = merge_module(&mut module, &merger, &DriverConfig::with_threshold(2));
         assert!(report.num_merges() > 0);
         let seen = merger.seen.into_inner().unwrap();
         assert_eq!(seen.len() as u64, report.align_full_runs);
@@ -1142,21 +1027,15 @@ entry:
             )
         };
         let text = format!("{}\n{}", body("i64"), body("i16"));
-        for config in [
-            DriverConfig::with_threshold(1).with_prefilter(false),
-            DriverConfig::with_threshold(1)
-                .with_prefilter(false)
-                .parallel(),
-        ] {
-            let mut module = parse_module(&text).unwrap();
-            let report = merge_module(&mut module, &SalSsaMerger::default(), &config);
-            assert_eq!(report.attempts, 0);
-            assert_eq!(report.num_merges(), 0);
-            assert_eq!(report.planner.candidates, 2, "{:?}", report.planner);
-            assert_eq!(report.align_full_runs, 2);
-            assert_eq!(report.align_lengths.count(), 2);
-            assert_eq!(report.align_class_table_misses, 2);
-        }
+        let config = DriverConfig::with_threshold(1).with_prefilter(false);
+        let mut module = parse_module(&text).unwrap();
+        let report = merge_module(&mut module, &SalSsaMerger::default(), &config);
+        assert_eq!(report.attempts, 0);
+        assert_eq!(report.num_merges(), 0);
+        assert_eq!(report.planner.candidates, 2, "{:?}", report.planner);
+        assert_eq!(report.align_full_runs, 2);
+        assert_eq!(report.align_lengths.count(), 2);
+        assert_eq!(report.align_class_table_misses, 2);
     }
 
     #[test]
@@ -1167,69 +1046,6 @@ entry:
         merge_module(&mut module, &merger, &DriverConfig::with_threshold(2));
         let after = ssa_passes::module_size_bytes(&module, Target::X86Like);
         assert!(after < before, "{after} !< {before}");
-    }
-
-    #[test]
-    fn driver_mode_toggle_is_respected_and_defaults_to_sequential() {
-        let config = DriverConfig::default();
-        assert_eq!(config.mode, DriverMode::Sequential);
-        assert_eq!(config.parallel().mode, DriverMode::Parallel);
-        assert_eq!(
-            config.with_mode(DriverMode::Parallel).mode,
-            DriverMode::Parallel
-        );
-        // Only the mode differs; thresholds and sizes carry over.
-        let tuned = DriverConfig::with_threshold(7)
-            .parallel()
-            .with_batch_size(0);
-        assert_eq!(tuned.threshold, 7);
-        assert_eq!(tuned.batch_size, 1, "batch size is clamped to at least 1");
-    }
-
-    #[test]
-    fn parallel_mode_commits_identical_records_to_sequential() {
-        let merger = SalSsaMerger::default();
-        for threshold in [1, 2, 5] {
-            let mut seq_module = clone_heavy_module();
-            let seq = merge_module(
-                &mut seq_module,
-                &merger,
-                &DriverConfig::with_threshold(threshold),
-            );
-            let mut par_module = clone_heavy_module();
-            let par = merge_module(
-                &mut par_module,
-                &merger,
-                &DriverConfig::with_threshold(threshold).parallel(),
-            );
-            assert_eq!(seq.committed, par.committed, "threshold {threshold}");
-            assert_eq!(seq.attempts, par.attempts, "threshold {threshold}");
-            assert_eq!(seq.total_cells, par.total_cells, "threshold {threshold}");
-            assert_eq!(
-                ssa_ir::print_module(&seq_module),
-                ssa_ir::print_module(&par_module),
-                "threshold {threshold}: merged modules must be identical"
-            );
-            assert!(verify_module(&par_module).is_empty());
-        }
-    }
-
-    #[test]
-    fn parallel_mode_survives_tiny_batches() {
-        // batch_size 1 forces one scoring batch per pair — the degenerate
-        // schedule must still agree with the sequential result.
-        let mut seq_module = clone_heavy_module();
-        let merger = SalSsaMerger::default();
-        let seq = merge_module(&mut seq_module, &merger, &DriverConfig::with_threshold(2));
-        let mut par_module = clone_heavy_module();
-        let par = merge_module(
-            &mut par_module,
-            &merger,
-            &DriverConfig::with_threshold(2)
-                .parallel()
-                .with_batch_size(1),
-        );
-        assert_eq!(seq.committed, par.committed);
     }
 
     #[test]

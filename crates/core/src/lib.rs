@@ -16,8 +16,7 @@
 //!
 //! Whole-module merging with fingerprint-based candidate ranking, the
 //! profitability cost model, exploration thresholds and thunk creation lives
-//! in [`driver`]. The driver can score candidate pairs sequentially or on all
-//! cores ([`DriverMode`]); both modes commit identical merges. The `salssa`
+//! in [`driver`], over the merge planner of [`plan`]. The `salssa`
 //! binary (`cargo run --bin salssa -- <file.ll>`) runs the whole
 //! parse → merge → verify → report pipeline over a module on disk.
 //!
@@ -54,5 +53,5 @@ pub use driver::{
 };
 pub use merge::{merge_pair, merge_pair_with_distance, merged_param_maps, PairMerge, Refused};
 pub use options::MergeOptions;
-pub use plan::{run_plan, CandidateSource, CommitOutcome, PlanStats, ScoreCache, ScoreMode};
+pub use plan::{run_plan, CandidateSource, CommitOutcome, PlanStats, ScoreCache};
 pub use ssa_repair::{repair, RepairStats};

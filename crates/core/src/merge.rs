@@ -7,10 +7,10 @@
 //! suffixes are matched without any DP, and the traceback is the
 //! divide-and-conquer tier whose output is byte-identical to the classic
 //! full-matrix formulation while holding only O(m · log n) bytes live. The
-//! planner's speculative batch scorer therefore never allocates a quadratic
-//! score matrix, per-candidate-pair memory is bounded by the sequence
-//! lengths, and [`AlignmentStats`] records both the live peak and the
-//! footprint the full matrix would have had.
+//! planner's scoring therefore never allocates a quadratic score matrix,
+//! per-candidate-pair memory is bounded by the sequence lengths, and
+//! [`AlignmentStats`] records both the live peak and the footprint the full
+//! matrix would have had.
 
 use crate::codegen::{self, CodegenMaps};
 use crate::options::MergeOptions;

@@ -4,31 +4,32 @@
 //!
 //! Both drivers implement the paper's core loop — rank candidate pairs by
 //! fingerprint similarity, score alignments, commit profitable merges in
-//! profit order — and both parallelize the same way: candidate scoring is
-//! read-only on the IR, so pairs are scored speculatively in batches on all
-//! cores (profit and instrumentation only; the winner's merged body is
-//! regenerated at commit time), while commits stay sequential so the results
-//! are bit-identical to a fully sequential run.
+//! profit order — on one schedule. A source may announce keys to score up
+//! front ([`CandidateSource::speculative_keys`]); the engine scores them on
+//! all cores in bounded batches (scoring is read-only on the IR). The
+//! sequential commit loop then walks the source's groups, pre-filtering and
+//! scoring each member nobody scored yet, once, and commits at most the best
+//! positive-profit member of each group.
 //!
 //! This module owns that engine. A driver provides a [`CandidateSource`]:
 //!
 //! * **candidate discovery** — [`CandidateSource::speculative_keys`] and
-//!   [`CandidateSource::next_group`]. The intra-module source walks the
-//!   fingerprint ranking's size-ordered function list, yielding each
-//!   function's top-`t` candidates as one rival group; the cross-module
-//!   source yields its LSH-shard discoveries one pair at a time in global
-//!   profit order (sorted in [`CandidateSource::plan`] once the speculative
-//!   scores are in).
+//!   [`CandidateSource::next_group`]. The intra-module source announces
+//!   nothing: it walks the fingerprint ranking's size-ordered function list,
+//!   yielding each function's top-`t` candidates as one rival group, and the
+//!   commit loop scores them as it reaches them (the paper's whole-module
+//!   loop). The cross-module source announces every discovered pair and
+//!   yields them one at a time in global profit order (sorted in
+//!   [`CandidateSource::plan`] once the up-front scores are in).
 //! * **scoring** — [`CandidateSource::score`], a pure read of the underlying
-//!   modules. The engine invokes it from rayon workers during the
-//!   speculative phase and inline (single-threaded) for pairs the
-//!   speculation missed.
+//!   modules, called from rayon workers for announced keys and inline for
+//!   the rest.
 //! * **hazard and commit hooks** — [`CandidateSource::hazard`] (e.g. the
 //!   cross-module ODR/link rules) and [`CandidateSource::commit`] (module
 //!   mutation, optionally guarded by the differential semantic oracle).
 //!
 //! The engine returns the committed records plus [`PlanStats`]: candidates
-//! examined, speculative vs. inline scores, and phase timings — surfaced by
+//! examined, up-front vs. inline scores, and phase timings — surfaced by
 //! `salssa ... --json` for trajectory tracking.
 
 use rayon::prelude::*;
@@ -38,7 +39,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 use telemetry::{DecisionEvent, RejectReason};
 
-/// Cached speculative scores: `None` records that the merger refused the
+/// Scores of the announced keys: `None` records that the merger refused the
 /// pair, so the commit loop does not retry it.
 pub type ScoreCache<K, S> = HashMap<K, Option<S>>;
 
@@ -47,9 +48,10 @@ pub type ScoreCache<K, S> = HashMap<K, Option<S>>;
 pub struct PlanStats {
     /// Candidate pairs the commit loop examined (scheduled candidates).
     pub candidates: usize,
-    /// Pairs scored speculatively, in parallel, before the commit loop.
+    /// Announced pairs scored in parallel before the commit loop.
     pub speculative_scores: usize,
-    /// Pairs the speculation missed, scored inline during the commit loop.
+    /// Group members nobody scored up front, scored inline by the commit
+    /// loop.
     pub inline_scores: usize,
     /// Fixpoint rounds driven over this engine (1 for a single-shot run;
     /// maintained by the fixpoint driver, not by [`run_plan`] itself).
@@ -71,7 +73,7 @@ pub struct PlanStats {
     /// Commits refused because the differential oracle exhausted its fuel
     /// budget before reaching a verdict.
     pub oracle_timeouts: usize,
-    /// Wall-clock time of the speculative scoring phase.
+    /// Wall-clock time of the up-front scoring phase.
     pub score_time: Duration,
     /// Wall-clock time of the commit loop (including inline scoring and
     /// oracle runs).
@@ -115,25 +117,27 @@ pub enum CommitOutcome<R> {
 
 /// A driver-specific provider of candidate pairs, scores and commits. See the
 /// module docs for the contract; `Sync` is required so the engine can score
-/// speculative candidates from rayon workers.
+/// announced keys from rayon workers.
 pub trait CandidateSource: Sync {
     /// Identity of one candidate pair.
     type Key: Clone + Eq + Hash + Send + Sync;
     /// The outcome of scoring one pair: profit plus whatever instrumentation
-    /// the driver's report wants. Bulky artifacts (merged bodies) should only
-    /// be retained when scoring is asked to `keep_artifacts`.
+    /// the driver's report wants.
     type Score: Send;
     /// One committed merge operation, as reported by the driver.
     type Record;
 
-    /// Pairs worth scoring before the commit loop starts. Speculation may
-    /// overshoot the exploration threshold: commits consume functions and
-    /// pull deeper candidates into range.
-    fn speculative_keys(&self) -> Vec<Self::Key>;
+    /// Pairs to score on all cores before the commit loop starts, for a
+    /// source whose schedule derives from their scores (see
+    /// [`CandidateSource::plan`]). The default announces nothing, and the
+    /// commit loop scores each group member when it reaches it.
+    fn speculative_keys(&self) -> Vec<Self::Key> {
+        Vec::new()
+    }
 
     /// The placement-policy hook: the engine maps every candidate key through
-    /// `place` before it is scored — both in the speculative phase and in the
-    /// commit loop — so a source can apply a placement decision (e.g. the
+    /// `place` before it is scored — both up front and in the commit loop —
+    /// so a source can apply a placement decision (e.g. the
     /// cross-module host-selection policy re-orienting which side of a pair
     /// hosts the merged body) in exactly one spot without its discovery stage
     /// knowing about policies. Must be idempotent: keys coming back out of
@@ -152,8 +156,8 @@ pub trait CandidateSource: Sync {
     }
 
     /// Returns `true` when an admissible upper bound proves this pair cannot
-    /// be profitably merged, so the engine may skip scoring it entirely —
-    /// speculatively and in the commit loop. Only consulted when
+    /// be profitably merged, so the engine skips scoring it. The engine
+    /// checks each key once, before it scores it. Only consulted when
     /// [`CandidateSource::prefilter_enabled`] is `true`. Must be a pure read
     /// and must never reject a pair the driver could commit (the pre-filter
     /// changes how much work scoring does, never which merges happen). The
@@ -162,17 +166,14 @@ pub trait CandidateSource: Sync {
         false
     }
 
-    /// Scores one pair without mutating anything. `keep_artifacts` is `true`
-    /// for inline scoring (the winner is committed immediately) and `false`
-    /// for speculative scoring (retaining a merged body per profitable pair
-    /// corpus-wide would dominate memory; the commit regenerates the winner,
-    /// which is sound because pair merging is deterministic).
-    fn score(&self, key: &Self::Key, keep_artifacts: bool) -> Option<Self::Score>;
+    /// Scores one pair without mutating anything; `None` means the merger
+    /// refused it.
+    fn score(&self, key: &Self::Key) -> Option<Self::Score>;
 
     /// The modelled byte profit of a scored pair.
     fn profit(score: &Self::Score) -> i64;
 
-    /// Called once, after speculative scoring and before the commit loop, so
+    /// Called once, after up-front scoring and before the commit loop, so
     /// the source can derive its commit schedule from the scores (the
     /// cross-module source sorts globally by profit here). The default does
     /// nothing.
@@ -207,21 +208,10 @@ pub trait CandidateSource: Sync {
     fn commit(&mut self, key: Self::Key, score: Self::Score) -> CommitOutcome<Self::Record>;
 }
 
-/// How the engine schedules candidate scoring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScoreMode {
-    /// Score every pair inline while walking the commit schedule.
-    Inline,
-    /// Speculatively score [`CandidateSource::speculative_keys`] on all cores
-    /// in batches of the given size, then replay the commit schedule against
-    /// the cache (inline-scoring the rare miss). Commits are identical to
-    /// [`ScoreMode::Inline`].
-    Speculative {
-        /// Candidate pairs per parallel scoring batch; each batch is a
-        /// parallel map joined before the next starts, bounding peak memory.
-        batch_size: usize,
-    },
-}
+/// Announced keys per parallel scoring batch. Each batch is a parallel map
+/// joined before the next starts, which bounds how many scoring results are
+/// in flight at once.
+const SCORE_BATCH: usize = 128;
 
 /// Runs `f` with panics isolated: a panic becomes `None` instead of
 /// unwinding into the engine, so one poisoned candidate costs exactly one
@@ -233,48 +223,45 @@ fn isolate<T>(f: impl FnOnce() -> T) -> Option<T> {
     catch_unwind(AssertUnwindSafe(f)).ok()
 }
 
-/// Speculative scoring result: the keyed score cache plus the keys whose
-/// scoring panicked.
-type SpeculativeScores<K, P> = (ScoreCache<K, P>, Vec<K>);
+/// Scores one key behind the `plan.score` fault probe. `None` means the
+/// scoring panicked, `Some(None)` that the merger refused the pair.
+fn score_isolated<S: CandidateSource>(source: &S, key: &S::Key) -> Option<Option<S::Score>> {
+    isolate(|| {
+        telemetry::faultinject::trip("plan.score");
+        source.score(key)
+    })
+}
 
-/// One scored batch: per key, `None` means the scoring closure panicked,
-/// `Some(None)` means it ran and refused the pair.
-type ScoredBatch<K, P> = Vec<(K, Option<Option<P>>)>;
-
-/// Speculatively scores `keys` in parallel batches, preserving input order in
-/// the returned cache semantics (the cache is keyed, so order only matters
-/// for determinism of side effects — scoring is pure). Keys whose scoring
-/// panicked are returned separately so the commit loop can reject them as
-/// internal errors rather than refusals.
-fn speculative_scores<S: CandidateSource>(
-    source: &S,
-    keys: Vec<S::Key>,
-    batch_size: usize,
-) -> SpeculativeScores<S::Key, S::Score> {
-    let mut cache = ScoreCache::with_capacity(keys.len());
-    let mut panicked = Vec::new();
-    for batch in keys.chunks(batch_size.max(1)) {
-        let _span = telemetry::span_with("plan.score.batch", || format!("{} pairs", batch.len()));
-        let scored: ScoredBatch<S::Key, S::Score> = batch
-            .par_iter()
-            .map(|key| {
-                let scored = isolate(|| {
-                    telemetry::faultinject::trip("plan.score");
-                    source.score(key, false)
-                });
-                (key.clone(), scored)
-            })
-            .collect();
-        for (key, scored) in scored {
-            match scored {
-                Some(scored) => {
-                    cache.insert(key, scored);
-                }
-                None => panicked.push(key),
-            }
-        }
+/// Runs the pre-filter on one key, counting the check and any rejection.
+fn prefiltered<S: CandidateSource>(source: &S, key: &S::Key, stats: &mut PlanStats) -> bool {
+    if !source.prefilter_enabled() {
+        return false;
     }
-    (cache, panicked)
+    stats.prefilter_checked += 1;
+    if !source.prefilter(key) {
+        return false;
+    }
+    stats.prefilter_rejected += 1;
+    emit_decision(
+        source,
+        key,
+        DecisionEvent::Rejected(RejectReason::Prefiltered),
+        None,
+        "admissible profit bound below the merge overhead",
+    );
+    true
+}
+
+/// Counts a scoring panic as an internal error, with its decision.
+fn scoring_panicked<S: CandidateSource>(source: &S, key: &S::Key, stats: &mut PlanStats) {
+    stats.internal_errors += 1;
+    emit_decision(
+        source,
+        key,
+        DecisionEvent::Rejected(RejectReason::InternalError),
+        None,
+        "scoring panicked; the pair was isolated",
+    );
 }
 
 /// Emits one decision-log entry for a candidate the engine is examining, if
@@ -294,13 +281,58 @@ fn emit_decision<S: CandidateSource>(
     }
 }
 
-/// Runs the engine to completion: speculative scoring (per `mode`), then the
-/// sequential profit-ordered commit loop. Returns the committed records in
-/// commit order plus the engine statistics.
-pub fn run_plan<S: CandidateSource>(
-    source: &mut S,
-    mode: ScoreMode,
-) -> (Vec<S::Record>, PlanStats) {
+/// The scores of the announced keys, and the announced keys that were
+/// pre-filtered or whose scoring panicked.
+type Announced<K, S> = (ScoreCache<K, S>, HashSet<K>);
+
+/// Pre-filters the keys the source announces and scores the rest on all
+/// cores, in batches. Each pre-filter rejection and panic is counted where it
+/// happens, and the commit loop skips those keys.
+fn score_announced<S: CandidateSource>(
+    source: &S,
+    stats: &mut PlanStats,
+) -> Announced<S::Key, S::Score> {
+    let mut settled = HashSet::new();
+    let keys: Vec<S::Key> = source
+        .speculative_keys()
+        .into_iter()
+        .map(|key| source.place(key))
+        .filter(|key| {
+            let rejected = prefiltered(source, key, stats);
+            if rejected {
+                settled.insert(key.clone());
+            }
+            !rejected
+        })
+        .collect();
+    stats.speculative_scores = keys.len();
+    let mut cache = ScoreCache::with_capacity(keys.len());
+    for batch in keys.chunks(SCORE_BATCH) {
+        let _span = telemetry::span_with("plan.score.batch", || format!("{} pairs", batch.len()));
+        let scored: Vec<Option<Option<S::Score>>> = batch
+            .par_iter()
+            .map(|key| score_isolated(source, key))
+            .collect();
+        for (key, scored) in batch.iter().zip(scored) {
+            match scored {
+                Some(scored) => {
+                    cache.insert(key.clone(), scored);
+                }
+                None => {
+                    scoring_panicked(source, key, stats);
+                    settled.insert(key.clone());
+                }
+            }
+        }
+    }
+    (cache, settled)
+}
+
+/// Runs the engine to completion: the announced keys are pre-filtered and
+/// scored on all cores, then the sequential profit-ordered commit loop walks
+/// the source's groups. Every key is pre-filtered and scored at most once.
+/// Returns the committed records in commit order plus the engine statistics.
+pub fn run_plan<S: CandidateSource>(source: &mut S) -> (Vec<S::Record>, PlanStats) {
     let mut stats = PlanStats {
         rounds: 1,
         ..PlanStats::default()
@@ -310,47 +342,7 @@ pub fn run_plan<S: CandidateSource>(
     // fields and the exported trace derive from the same `Instant` pair, so
     // the two views cannot disagree.
     let score_span = telemetry::timed_span("plan.score");
-    // Keys whose speculative scoring panicked: isolated, reported as
-    // internal errors when the commit loop reaches them.
-    let mut poisoned: HashSet<S::Key> = HashSet::new();
-    let mut cache = match mode {
-        ScoreMode::Inline => ScoreCache::new(),
-        ScoreMode::Speculative { batch_size } => {
-            // Pre-filtered keys are dropped (and counted) before the parallel
-            // phase. Sources whose commit schedule derives from the score
-            // cache never re-see these keys, so this is where their
-            // rejections are accounted; group-driven sources may check a key
-            // again in the commit loop — every evaluation counts.
-            let filtering = source.prefilter_enabled();
-            let keys: Vec<S::Key> = source
-                .speculative_keys()
-                .into_iter()
-                .map(|key| source.place(key))
-                .filter(|key| {
-                    if !filtering {
-                        return true;
-                    }
-                    stats.prefilter_checked += 1;
-                    if source.prefilter(key) {
-                        stats.prefilter_rejected += 1;
-                        emit_decision(
-                            source,
-                            key,
-                            DecisionEvent::Rejected(RejectReason::Prefiltered),
-                            None,
-                            "admissible profit bound below the merge overhead",
-                        );
-                        return false;
-                    }
-                    true
-                })
-                .collect();
-            stats.speculative_scores = keys.len();
-            let (cache, panicked) = speculative_scores(source, keys, batch_size);
-            poisoned.extend(panicked);
-            cache
-        }
-    };
+    let (mut cache, settled) = score_announced(source, &mut stats);
     stats.score_time = score_span.stop();
 
     source.plan(&cache);
@@ -365,44 +357,19 @@ pub fn run_plan<S: CandidateSource>(
         let log_decisions = telemetry::decisions_enabled();
         for key in group {
             let key = source.place(key);
-            if source.prefilter_enabled() {
-                stats.prefilter_checked += 1;
-                if source.prefilter(&key) {
-                    stats.prefilter_rejected += 1;
-                    emit_decision(
-                        source,
-                        &key,
-                        DecisionEvent::Rejected(RejectReason::Prefiltered),
-                        None,
-                        "admissible profit bound below the merge overhead",
-                    );
-                    continue;
-                }
-            }
-            let scored = if poisoned.remove(&key) {
-                None // Speculative scoring panicked on this key.
-            } else {
-                match cache.remove(&key) {
-                    Some(cached) => Some(cached),
-                    None => {
-                        stats.inline_scores += 1;
-                        isolate(|| {
-                            telemetry::faultinject::trip("plan.score");
-                            source.score(&key, true)
-                        })
+            let scored = match cache.remove(&key) {
+                Some(cached) => Some(cached),
+                None => {
+                    if settled.contains(&key) || prefiltered(source, &key, &mut stats) {
+                        continue;
                     }
+                    stats.inline_scores += 1;
+                    score_isolated(source, &key)
                 }
             };
             stats.candidates += 1;
             let Some(scored) = scored else {
-                stats.internal_errors += 1;
-                emit_decision(
-                    source,
-                    &key,
-                    DecisionEvent::Rejected(RejectReason::InternalError),
-                    None,
-                    "scoring panicked; the pair was isolated",
-                );
+                scoring_panicked(source, &key, &mut stats);
                 continue;
             };
             let Some(score) = scored else {
@@ -556,6 +523,9 @@ mod tests {
     /// both endpoints.
     struct ToySource {
         n: usize,
+        /// Announce every pair for up-front scoring (the cross-module
+        /// pattern) instead of leaving them to the commit loop.
+        announce: bool,
         profit: fn(usize, usize) -> i64,
         cursor: usize,
         consumed: HashSet<usize>,
@@ -578,6 +548,7 @@ mod tests {
         fn new(n: usize, profit: fn(usize, usize) -> i64) -> ToySource {
             ToySource {
                 n,
+                announce: false,
                 profit,
                 cursor: 0,
                 consumed: HashSet::new(),
@@ -599,6 +570,9 @@ mod tests {
         type Record = (usize, usize, i64);
 
         fn speculative_keys(&self) -> Vec<(usize, usize)> {
+            if !self.announce {
+                return Vec::new();
+            }
             (0..self.n)
                 .flat_map(|a| (a + 1..self.n).map(move |b| (a, b)))
                 .collect()
@@ -619,7 +593,7 @@ mod tests {
             self.prefilter_on.contains(key)
         }
 
-        fn score(&self, key: &(usize, usize), _keep: bool) -> Option<i64> {
+        fn score(&self, key: &(usize, usize)) -> Option<i64> {
             if self.panic_score_on == Some(*key) {
                 panic!("score exploded on {key:?}");
             }
@@ -686,27 +660,10 @@ mod tests {
     }
 
     #[test]
-    fn inline_and_speculative_modes_commit_identically() {
-        let run = |mode| {
-            let mut source = ToySource::new(4, toy_profit);
-            run_plan(&mut source, mode)
-        };
-        let (seq, seq_stats) = run(ScoreMode::Inline);
-        let (par, par_stats) = run(ScoreMode::Speculative { batch_size: 2 });
-        assert_eq!(seq, vec![(0, 2, 10), (1, 3, 7)]);
-        assert_eq!(seq, par);
-        assert_eq!(seq_stats.candidates, par_stats.candidates);
-        assert_eq!(seq_stats.speculative_scores, 0);
-        assert_eq!(par_stats.speculative_scores, 6);
-        assert!(seq_stats.inline_scores > 0);
-        assert_eq!(par_stats.inline_scores, 0, "speculation covered every pair");
-    }
-
-    #[test]
     fn hazard_hook_blocks_the_winner_without_consuming_it() {
         let mut source = ToySource::new(4, toy_profit);
         source.hazard_on = Some((0, 2));
-        let (records, _) = run_plan(&mut source, ScoreMode::Inline);
+        let (records, _) = run_plan(&mut source);
         // (0,2) is vetoed; 0's group picks nothing else... (0,1) has profit 5
         // but loses to the vetoed 10 inside the group — the engine commits at
         // most the single best of each group, so host 0 commits nothing and
@@ -719,89 +676,84 @@ mod tests {
     fn place_hook_rewrites_keys_in_both_scoring_phases() {
         // The policy re-places the 10-profit pair (0,2) as (2,0), which the
         // profit table rejects — so the engine must commit (0,1) instead, and
-        // the speculative cache must be keyed by *placed* keys (no inline
-        // re-score on the commit replay).
-        let run = |mode| {
-            let mut source = ToySource::new(4, toy_profit);
-            source.place_swap = Some(((0, 2), (2, 0)));
-            let (records, stats) = run_plan(&mut source, mode);
-            (records, stats)
-        };
-        let (seq, _) = run(ScoreMode::Inline);
-        let (par, par_stats) = run(ScoreMode::Speculative { batch_size: 2 });
-        assert_eq!(seq, vec![(0, 1, 5)]);
-        assert_eq!(seq, par);
+        // the up-front scores must be keyed by *placed* keys (no inline
+        // re-score in the commit loop).
+        let mut source = ToySource::new(4, toy_profit);
+        source.announce = true;
+        source.place_swap = Some(((0, 2), (2, 0)));
+        let (records, stats) = run_plan(&mut source);
+        assert_eq!(records, vec![(0, 1, 5)]);
+        assert_eq!(stats.speculative_scores, 6);
         assert_eq!(
-            par_stats.inline_scores, 0,
-            "placed keys must hit the speculative cache"
+            stats.inline_scores, 0,
+            "placed keys must hit the up-front scores"
         );
     }
 
     #[test]
-    fn prefiltered_pairs_are_never_scored_in_either_mode() {
-        let run = |mode| {
-            let mut source = ToySource::new(4, toy_profit);
-            // Reject the unprofitable tail pairs; the winners must survive.
-            source.prefilter_on = [(0, 3), (2, 3)].into_iter().collect();
-            let (records, stats) = run_plan(&mut source, mode);
-            (records, stats, source.observed)
-        };
-        let (seq, seq_stats, seq_observed) = run(ScoreMode::Inline);
-        let (par, par_stats, par_observed) = run(ScoreMode::Speculative { batch_size: 2 });
-        assert_eq!(seq, vec![(0, 2, 10), (1, 3, 7)]);
-        assert_eq!(seq, par);
-        // The filter keeps rejected pairs away from scoring entirely in both
-        // modes. Counts differ by mode by design: sequential evaluates only
-        // commit-group members — and only (0, 3) reaches a group, host 2
-        // being consumed before (2, 3)'s group forms — while the parallel
-        // mode additionally evaluates every speculative key up front (the
-        // accounting point for sources whose schedule derives from the score
-        // cache and never re-sees filtered keys).
-        assert_eq!(seq_stats.prefilter_rejected, 1);
-        assert!(par_stats.prefilter_rejected >= seq_stats.prefilter_rejected);
-        assert!(par_stats.prefilter_checked > seq_stats.prefilter_checked);
-        assert_eq!(seq_observed, par_observed);
-        assert_eq!(
-            par_stats.speculative_scores, 4,
-            "speculation must skip the two pre-filtered pairs"
-        );
-        assert_eq!(par_stats.inline_scores, 0);
-        assert_eq!(seq_stats.candidates, par_stats.candidates);
+    fn prefiltered_pairs_are_never_scored() {
+        let mut source = ToySource::new(4, toy_profit);
+        // Reject the unprofitable tail pairs; the winners must survive.
+        source.prefilter_on = [(0, 3), (2, 3)].into_iter().collect();
+        let (records, stats) = run_plan(&mut source);
+        assert_eq!(records, vec![(0, 2, 10), (1, 3, 7)]);
+        // Only commit-group members are checked: host 0's three pairs and
+        // (1, 3). (2, 3) never reaches a group, host 2 being consumed before
+        // its group forms.
+        assert_eq!(stats.prefilter_checked, 4);
+        assert_eq!(stats.prefilter_rejected, 1);
+        assert_eq!(stats.inline_scores, 3);
+        assert_eq!(source.observed, 3);
+        assert_eq!(stats.candidates, 3);
     }
 
     #[test]
-    fn degenerate_batch_sizes_are_clamped() {
-        let mut source = ToySource::new(3, toy_profit);
-        let (records, stats) = run_plan(&mut source, ScoreMode::Speculative { batch_size: 0 });
-        assert_eq!(records, vec![(0, 2, 10)]);
-        assert_eq!(stats.speculative_scores, 3);
+    fn announced_pairs_are_prefiltered_and_scored_once() {
+        let mut source = ToySource::new(4, toy_profit);
+        source.announce = true;
+        source.prefilter_on = [(0, 3), (2, 3)].into_iter().collect();
+        let (records, stats) = run_plan(&mut source);
+        assert_eq!(records, vec![(0, 2, 10), (1, 3, 7)]);
+        // Each announced pair is checked once, up front: the commit loop
+        // neither re-checks the scored pairs nor the rejected (0, 3).
+        assert_eq!(stats.prefilter_checked, 6);
+        assert_eq!(stats.prefilter_rejected, 2);
+        assert_eq!(stats.speculative_scores, 4);
+        assert_eq!(stats.inline_scores, 0);
+        assert_eq!(stats.candidates, 3);
     }
 
     #[test]
     fn panics_are_isolated_to_one_pair() {
         // (0, 2) — the best pair — panics during scoring. The run must
         // complete, count one internal error, and still commit the rest.
-        // Panic isolation must behave identically in both scoring modes.
-        let run = |mode| {
-            let mut source = ToySource::new(4, toy_profit);
-            source.panic_score_on = Some((0, 2));
-            run_plan(&mut source, mode)
-        };
-        let (seq, seq_stats) = run(ScoreMode::Inline);
-        let (par, par_stats) = run(ScoreMode::Speculative { batch_size: 2 });
+        let mut source = ToySource::new(4, toy_profit);
+        source.panic_score_on = Some((0, 2));
+        let (records, stats) = run_plan(&mut source);
         // With (0, 2) gone, host 0's group winner is (0, 1); (1, 3) then
         // loses its endpoint, leaving (2, 3) — unprofitable. One commit.
-        assert_eq!(seq, vec![(0, 1, 5)]);
-        assert_eq!(seq, par);
-        assert_eq!(seq_stats.internal_errors, 1);
-        assert_eq!(par_stats.internal_errors, 1);
+        assert_eq!(records, vec![(0, 1, 5)]);
+        assert_eq!(stats.internal_errors, 1);
 
         // A commit-time panic instead loses only the winner: (0, 2)'s
         // endpoints stay live but its group is spent, so (1, 3) still lands.
         let mut source = ToySource::new(4, toy_profit);
         source.panic_commit_on = Some((0, 2));
-        let (records, stats) = run_plan(&mut source, ScoreMode::Inline);
+        let (records, stats) = run_plan(&mut source);
         assert_eq!(records, vec![(1, 3, 7)]);
+        assert_eq!(stats.internal_errors, 1);
+    }
+
+    #[test]
+    fn an_up_front_scoring_panic_counts_though_no_group_reaches_it() {
+        // (2, 3) is scored up front but never reaches a group: both of its
+        // endpoints are consumed first. Its panic still costs one pair.
+        let mut source = ToySource::new(4, toy_profit);
+        source.announce = true;
+        source.panic_score_on = Some((2, 3));
+        let (records, stats) = run_plan(&mut source);
+        assert_eq!(records, vec![(0, 2, 10), (1, 3, 7)]);
+        assert_eq!(stats.speculative_scores, 6);
         assert_eq!(stats.internal_errors, 1);
     }
 
@@ -809,7 +761,7 @@ mod tests {
     fn oracle_timeout_is_counted_not_committed() {
         let mut source = ToySource::new(4, toy_profit);
         source.timeout_on = Some((0, 2));
-        let (records, stats) = run_plan(&mut source, ScoreMode::Inline);
+        let (records, stats) = run_plan(&mut source);
         assert_eq!(records, vec![(1, 3, 7)]);
         assert_eq!(stats.oracle_timeouts, 1);
         assert_eq!(stats.internal_errors, 0);

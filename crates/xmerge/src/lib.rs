@@ -12,11 +12,10 @@
 //!   bucketed by MinHash band (LSH) and shard co-occupants are scored in
 //!   parallel, avoiding the whole-program quadratic pair scan;
 //! * [`pipeline`] — the end-to-end run: speculative parallel scoring of
-//!   candidates (the intra-module parallel driver's strategy, across module
-//!   boundaries), then sequential profit-ordered commits that import the
-//!   donor function into the host module ([`ssa_ir::linker`]), merge with the
-//!   existing pairwise machinery, and leave a thunk behind in the donor so
-//!   every module keeps exporting working symbols;
+//!   every discovered candidate, then sequential profit-ordered commits that
+//!   import the donor function into the host module ([`ssa_ir::linker`]),
+//!   merge with the existing pairwise machinery, and leave a thunk behind in
+//!   the donor so every module keeps exporting working symbols;
 //! * [`json`] — machine-readable reports for trajectory tracking.
 //!
 //! The `salssa index <dir>` and `salssa xmerge <dir>` CLI subcommands stream

@@ -52,7 +52,7 @@ use crate::discover::{discover, CandidatePair, DiscoveryConfig};
 use crate::index::{CorpusIndex, IndexReuse};
 use callgraph::{module_regions, CallGraph, CallIndexReuse, CorpusCallIndex};
 use fm_align::{AlignTally, AlignmentStats, MinHash};
-use salssa::plan::{run_plan, CandidateSource, CommitOutcome, PlanStats, ScoreMode};
+use salssa::plan::{run_plan, CandidateSource, CommitOutcome, PlanStats};
 use salssa::{
     build_thunk, merge_module, merge_pair_with_distance, DriverConfig, MergeOptions, MergeRecord,
     Refused, SalSsaMerger, SEMANTIC_SAMPLES, SEMANTIC_SEED,
@@ -118,7 +118,7 @@ impl Default for FixpointConfig {
     fn default() -> Self {
         FixpointConfig {
             max_rounds: 4,
-            intra: Some(DriverConfig::default().parallel()),
+            intra: Some(DriverConfig::default()),
         }
     }
 }
@@ -133,8 +133,6 @@ pub struct XMergeConfig {
     pub discovery: DiscoveryConfig,
     /// MinHash signature width of the index.
     pub num_hashes: usize,
-    /// Candidate pairs per speculative parallel scoring batch.
-    pub batch_size: usize,
     /// Run the whole-program differential oracle on every commit.
     pub check_semantics: bool,
     /// Iterate to a fixpoint (merged hosts re-enter the candidate pool,
@@ -175,7 +173,6 @@ impl XMergeConfig {
             options: MergeOptions::default(),
             discovery: DiscoveryConfig::default(),
             num_hashes: MinHash::DEFAULT_HASHES,
-            batch_size: 128,
             check_semantics: false,
             fixpoint: None,
             host_policy: HostPolicy::default(),
@@ -578,8 +575,9 @@ impl fmt::Display for CorpusMergeReport {
     }
 }
 
-/// One speculatively scored cross-module pair (bodies dropped, like the
-/// intra-module speculative score cache).
+/// One speculatively scored cross-module pair. Its merged body is dropped:
+/// one body per profitable pair corpus-wide would dominate memory, so the
+/// commit regenerates the winner (pair merging is deterministic).
 pub(crate) struct ScoredCross {
     pub(crate) host: usize,
     pub(crate) donor: usize,
@@ -802,7 +800,7 @@ impl CandidateSource for CrossSource<'_> {
         }
     }
 
-    fn score(&self, key: &CrossKey, _keep_artifacts: bool) -> Option<ScoredCross> {
+    fn score(&self, key: &CrossKey) -> Option<ScoredCross> {
         let (hi, di, f1n, f2n) = key;
         let f1 = self.modules[*hi].function(f1n)?;
         let f2 = self.modules[*di].function(f2n)?;
@@ -1292,12 +1290,7 @@ fn run_pipeline(
             paranoid_monitor.as_mut(),
             &distances,
         );
-        let (committed, mut stats) = run_plan(
-            &mut source,
-            ScoreMode::Speculative {
-                batch_size: config.batch_size.max(1),
-            },
-        );
+        let (committed, mut stats) = run_plan(&mut source);
         stats.oracle_links = source.oracle_links;
         report.attempts += source.attempts;
         report.hazard_skips += source.hazard_skips;
@@ -1425,8 +1418,8 @@ fn run_pipeline(
     )
 }
 
-/// Scores one cross-module pair without mutating anything; bodies are
-/// dropped, mirroring the intra-module speculative score cache.
+/// Scores one cross-module pair without mutating anything; the merged body
+/// is dropped (see [`ScoredCross`]).
 pub(crate) fn score_cross(
     host: usize,
     donor: usize,

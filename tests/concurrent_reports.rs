@@ -48,7 +48,7 @@ impl Run {
             Run::Module(index) => {
                 let spec = &workloads::spec2006()[index];
                 let mut module = cleaned(vec![spec.generate()]).remove(0);
-                let config = DriverConfig::default().parallel();
+                let config = DriverConfig::default();
                 start.wait();
                 let report = merge_module(&mut module, &SalSsaMerger::default(), &config);
                 merge_report_json(&spec.name, &report, (0, 0), (0, 0))

@@ -135,15 +135,11 @@ fn paranoid_intra_merging_is_observational_with_zero_delta() {
         let mut plain_module = module_workload(seed);
         let mut paranoid_module = plain_module.clone();
         let merger = SalSsaMerger::new(MergeOptions::default());
-        let plain = merge_module(
-            &mut plain_module,
-            &merger,
-            &DriverConfig::default().parallel(),
-        );
+        let plain = merge_module(&mut plain_module, &merger, &DriverConfig::default());
         let paranoid = merge_module(
             &mut paranoid_module,
             &merger,
-            &DriverConfig::default().parallel().with_paranoid(true),
+            &DriverConfig::default().with_paranoid(true),
         );
         assert_eq!(
             plain.committed, paranoid.committed,
@@ -173,7 +169,7 @@ fn paranoid_xmerge_pipeline_is_observational_with_zero_delta() {
     let mut paranoid_corpus = plain_corpus.clone();
     let fixpoint = FixpointConfig {
         max_rounds: 3,
-        intra: Some(DriverConfig::default().parallel()),
+        intra: Some(DriverConfig::default()),
     };
     let plain_config = XMergeConfig::new().with_fixpoint(fixpoint);
     let paranoid_config = plain_config.clone().with_paranoid(true);

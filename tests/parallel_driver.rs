@@ -1,8 +1,12 @@
-//! Integration tests of the parallel whole-module merge driver: on fixed seed
-//! modules, the parallel scoring path must commit exactly the merges the
-//! sequential path commits, produce byte-identical modules, and the result
-//! must stay semantically equivalent to the original.
+//! Integration tests of the whole-module merge driver on 30-function seed
+//! modules: the driver, configured as the benchmark configures it, must
+//! commit exactly the merges of the paper's sequential loop and produce a
+//! byte-identical module, and the result must stay semantically equivalent
+//! to the original and shrink by exactly the modelled profit.
 
+mod common;
+
+use common::reference_merge;
 use salssa::{merge_module, DriverConfig, DriverMode, SalSsaMerger};
 use ssa_interp::check_equivalent;
 use ssa_ir::verifier::verify_module;
@@ -10,8 +14,7 @@ use ssa_ir::{print_module, Module};
 use ssa_passes::codesize::Target;
 use workloads::BenchmarkSpec;
 
-/// A module large enough that the speculative scorer has real work: several
-/// clone families plus unrelated noise functions.
+/// Several clone families plus unrelated noise functions.
 fn seed_module(seed: u64) -> Module {
     BenchmarkSpec {
         name: format!("par_driver_{seed}"),
@@ -25,42 +28,38 @@ fn seed_module(seed: u64) -> Module {
     .generate()
 }
 
+/// The driver under `DriverMode::Parallel` (the benchmark's configuration)
+/// and the sequential reference loop commit identical merge records.
 #[test]
 fn parallel_and_sequential_commit_identical_merge_records() {
+    let merger = SalSsaMerger::default();
     for seed in [1u64, 17, 99] {
-        let merger = SalSsaMerger::default();
-        let mut seq = seed_module(seed);
-        let seq_report = merge_module(&mut seq, &merger, &DriverConfig::with_threshold(3));
-        let mut par = seed_module(seed);
-        let par_report = merge_module(
-            &mut par,
+        let mut sequential = seed_module(seed);
+        let (reference, scored) = reference_merge(&mut sequential, 3, 3);
+        let mut parallel = seed_module(seed);
+        let report = merge_module(
+            &mut parallel,
             &merger,
-            &DriverConfig::with_threshold(3).parallel(),
+            &DriverConfig::with_threshold(3).with_mode(DriverMode::Parallel),
         );
 
         assert!(
-            seq_report.num_merges() > 0,
+            report.num_merges() > 0,
             "seed {seed}: expected the clone families to produce merges"
         );
         assert_eq!(
-            seq_report.committed, par_report.committed,
+            report.committed, reference,
             "seed {seed}: committed merge records diverged"
         );
-        assert_eq!(seq_report.attempts, par_report.attempts, "seed {seed}");
+        assert_eq!(report.planner.speculative_scores, 0, "seed {seed}");
+        assert_eq!(report.planner.inline_scores, scored, "seed {seed}");
+        assert_eq!(report.planner.candidates, scored, "seed {seed}");
         assert_eq!(
-            seq_report.peak_matrix_bytes, par_report.peak_matrix_bytes,
-            "seed {seed}"
-        );
-        assert_eq!(
-            seq_report.total_cells, par_report.total_cells,
-            "seed {seed}"
-        );
-        assert_eq!(
-            print_module(&seq),
-            print_module(&par),
+            print_module(&parallel),
+            print_module(&sequential),
             "seed {seed}: merged modules diverged"
         );
-        assert!(verify_module(&par).is_empty(), "seed {seed}");
+        assert!(verify_module(&parallel).is_empty(), "seed {seed}");
     }
 }
 
@@ -69,11 +68,7 @@ fn parallel_merging_preserves_observable_behaviour() {
     let original = seed_module(7);
     let mut merged = seed_module(7);
     let merger = SalSsaMerger::default();
-    let report = merge_module(
-        &mut merged,
-        &merger,
-        &DriverConfig::with_threshold(2).parallel(),
-    );
+    let report = merge_module(&mut merged, &merger, &DriverConfig::with_threshold(2));
     assert!(report.num_merges() > 0);
     assert!(verify_module(&merged).is_empty());
 
@@ -93,11 +88,7 @@ fn parallel_mode_shrinks_the_modelled_module_size() {
     let mut module = seed_module(23);
     let before = ssa_passes::module_size_bytes(&module, Target::X86Like);
     let merger = SalSsaMerger::default();
-    let report = merge_module(
-        &mut module,
-        &merger,
-        &DriverConfig::with_threshold(3).with_mode(DriverMode::Parallel),
-    );
+    let report = merge_module(&mut module, &merger, &DriverConfig::with_threshold(3));
     let after = ssa_passes::module_size_bytes(&module, Target::X86Like);
     assert!(report.num_merges() > 0);
     assert!(after < before, "expected shrink, got {before} -> {after}");

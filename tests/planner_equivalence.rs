@@ -1,21 +1,21 @@
-//! Equivalence suite for the unified merge planner: the sequential driver,
-//! the parallel (speculative) driver, and a hand-rolled paper-faithful
-//! reference implementation must commit bit-identical [`MergeRecord`]s on
-//! generated workloads — and the structural-key cache must never disagree
-//! with a fresh re-print after arbitrary builder/linker mutations.
+//! Equivalence suite for the unified merge planner: the planner-based driver
+//! and a hand-rolled paper-faithful reference implementation must commit
+//! bit-identical [`MergeRecord`]s, after scoring the same pairs, on generated
+//! workloads — and the structural-key cache must never disagree with a fresh
+//! re-print after arbitrary builder/linker mutations.
+//!
+//! [`MergeRecord`]: salssa::MergeRecord
 
+mod common;
+
+use common::reference_merge;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use salssa::{
-    build_thunk, estimate_profit, merge_module, merge_pair, DriverConfig, MergeOptions,
-    MergeRecord, SalSsaMerger,
-};
+use salssa::{merge_module, DriverConfig, DriverMode, MergeOptions, SalSsaMerger};
 use ssa_ir::{
     import_function, parse_function, print_function, print_module, rename_symbol, Module, Value,
 };
-use ssa_passes::codesize::Target;
-use std::collections::HashSet;
 use workloads::{generate_function, BenchmarkSpec, Divergence, FunctionSpec};
 
 fn workload(seed: u64) -> Module {
@@ -31,128 +31,44 @@ fn workload(seed: u64) -> Module {
     .generate()
 }
 
-/// A from-scratch reference of the paper's whole-module loop, sharing only
-/// the leaf machinery (`merge_pair`, `estimate_profit`, `build_thunk`) with
-/// the planner-based driver: walk functions largest first, try the top-`t`
-/// ranked candidates, commit the most profitable positive merge, replace the
-/// pair by merged + thunks.
-fn reference_merge(module: &mut Module, threshold: usize, min_size: usize) -> Vec<MergeRecord> {
-    let options = MergeOptions::default();
-    let ranking = fm_align::Ranking::build(module);
-    let mut unavailable: HashSet<String> = HashSet::new();
-    let mut records = Vec::new();
-    for name in ranking.names_by_size_desc() {
-        if unavailable.contains(&name)
-            || module
-                .function(&name)
-                .is_none_or(|f| f.num_insts() < min_size)
-        {
-            continue;
-        }
-        let exclude: Vec<String> = unavailable.iter().cloned().collect();
-        let mut best: Option<(i64, String, salssa::PairMerge)> = None;
-        for candidate in ranking.candidates(&name, threshold, &exclude) {
-            if unavailable.contains(&candidate)
-                || candidate == name
-                || module
-                    .function(&candidate)
-                    .is_none_or(|f| f.num_insts() < min_size)
-            {
-                continue;
-            }
-            let (f1, f2) = (
-                module.function(&name).unwrap(),
-                module.function(&candidate).unwrap(),
-            );
-            // The same admissible pre-filter the planner applies: skipping a
-            // provably unprofitable pair can never change the committed set,
-            // and keeps the reference's attempt schedule comparable.
-            let band = Some(fm_align::Band::new(salssa::options::DEFAULT_BAND_SLACK));
-            if fm_align::prefilter_rejects(f1, f2, Target::X86Like, band) {
-                continue;
-            }
-            let merged_name = format!("merged.{}.{}", f1.name, f2.name);
-            let Some(pair) = merge_pair(f1, f2, &options, &merged_name) else {
-                continue;
-            };
-            let profit = estimate_profit(module, &name, &candidate, &pair, Target::X86Like);
-            let improves = best.as_ref().map(|(p, _, _)| profit > *p).unwrap_or(true);
-            if improves && profit > 0 {
-                best = Some((profit, candidate.clone(), pair));
-            }
-        }
-        if let Some((profit, candidate, pair)) = best {
-            let f1 = module.remove_function(&name).unwrap();
-            let f2 = module.remove_function(&candidate).unwrap();
-            let record = MergeRecord {
-                f1: name.clone(),
-                f2: candidate.clone(),
-                merged_name: pair.merged.name.clone(),
-                profit_bytes: profit,
-                sizes: (f1.num_insts(), f2.num_insts(), pair.merged.num_insts()),
-                coalesced_pairs: pair.repair.coalesced_pairs,
-            };
-            let thunk1 = build_thunk(&f1, &pair.merged, &pair.param_f1, false);
-            let thunk2 = build_thunk(&f2, &pair.merged, &pair.param_f2, true);
-            module.add_function(pair.merged);
-            module.add_function(thunk1);
-            module.add_function(thunk2);
-            unavailable.insert(name);
-            unavailable.insert(candidate);
-            unavailable.insert(record.merged_name.clone());
-            records.push(record);
-        }
-    }
-    records
-}
-
+/// The driver's one schedule, under the default (sequential commit loop)
+/// configuration and the `DriverMode::Parallel` configuration the benchmark
+/// requests, commits bit-identical records to the reference loop at every
+/// exploration threshold, after scoring exactly the pairs the reference
+/// scores.
 #[test]
 fn sequential_parallel_and_reference_drivers_agree_bit_for_bit() {
     let merger = SalSsaMerger::default();
     for seed in [11u64, 42, 97, 1234] {
-        for threshold in [1usize, 3] {
+        for threshold in [1usize, 2, 3, 5] {
+            let config = DriverConfig::with_threshold(threshold);
+            assert_eq!(config.with_mode(DriverMode::Parallel), config);
+
             let mut reference_module = workload(seed);
-            let reference = reference_merge(&mut reference_module, threshold, 3);
+            let (reference, scored) = reference_merge(&mut reference_module, threshold, 3);
+            let mut module = workload(seed);
+            let report = merge_module(&mut module, &merger, &config);
 
-            let mut seq_module = workload(seed);
-            let seq = merge_module(
-                &mut seq_module,
-                &merger,
-                &DriverConfig::with_threshold(threshold),
+            let what = format!("seed {seed} t {threshold}");
+            assert!(
+                report.num_merges() > 0,
+                "{what}: the clone families must merge"
             );
-            let mut par_module = workload(seed);
-            let par = merge_module(
-                &mut par_module,
-                &merger,
-                &DriverConfig::with_threshold(threshold).parallel(),
+            assert_eq!(report.committed, reference, "{what}");
+            assert_eq!(
+                print_module(&module),
+                print_module(&reference_module),
+                "{what}"
             );
-            let mut tiny_batch_module = workload(seed);
-            let tiny = merge_module(
-                &mut tiny_batch_module,
-                &merger,
-                &DriverConfig::with_threshold(threshold)
-                    .parallel()
-                    .with_batch_size(1),
+            assert!(
+                ssa_ir::verifier::verify_module(&module).is_empty(),
+                "{what}"
             );
-
-            assert_eq!(seq.committed, reference, "seed {seed} t {threshold}");
-            assert_eq!(seq.committed, par.committed, "seed {seed} t {threshold}");
-            assert_eq!(seq.committed, tiny.committed, "seed {seed} t {threshold}");
-            assert_eq!(seq.attempts, par.attempts);
-            assert_eq!(seq.total_cells, par.total_cells);
-            assert_eq!(print_module(&seq_module), print_module(&reference_module));
-            assert_eq!(print_module(&seq_module), print_module(&par_module));
-            assert_eq!(print_module(&seq_module), print_module(&tiny_batch_module));
-            assert!(ssa_ir::verifier::verify_module(&seq_module).is_empty());
-
-            // Planner stats: sequential scores everything inline, parallel
-            // speculates; both examine the same candidate schedule.
-            assert_eq!(seq.planner.speculative_scores, 0);
-            assert_eq!(seq.planner.candidates, par.planner.candidates);
-            if seq.attempts > 0 {
-                assert!(seq.planner.inline_scores > 0);
-                assert!(par.planner.speculative_scores > 0);
-            }
+            // The driver scores exactly the pairs the paper's loop reaches,
+            // each once, when it reaches them.
+            assert_eq!(report.planner.speculative_scores, 0, "{what}");
+            assert_eq!(report.planner.inline_scores, scored, "{what}");
+            assert_eq!(report.planner.candidates, scored, "{what}");
         }
     }
 }
@@ -165,11 +81,7 @@ fn banding_and_prefilter_toggles_commit_identically() {
     let merger = SalSsaMerger::default();
     for seed in [11u64, 97] {
         let mut base_module = workload(seed);
-        let base = merge_module(
-            &mut base_module,
-            &merger,
-            &DriverConfig::with_threshold(2).parallel(),
-        );
+        let base = merge_module(&mut base_module, &merger, &DriverConfig::with_threshold(2));
 
         // Unbanded alignment (always the exact tier).
         let unbanded = SalSsaMerger::new(MergeOptions {
@@ -177,15 +89,11 @@ fn banding_and_prefilter_toggles_commit_identically() {
             ..MergeOptions::default()
         });
         let mut m = workload(seed);
-        let r = merge_module(
-            &mut m,
-            &unbanded,
-            &DriverConfig::with_threshold(2).parallel(),
-        );
+        let r = merge_module(&mut m, &unbanded, &DriverConfig::with_threshold(2));
         assert_eq!(base.committed, r.committed, "unbanded, seed {seed}");
         assert_eq!(print_module(&base_module), print_module(&m));
 
-        // A wider explicit corridor, sequential mode for variety.
+        // A wider explicit corridor.
         let wide = SalSsaMerger::new(MergeOptions {
             band: Some(40),
             ..MergeOptions::default()
@@ -200,9 +108,7 @@ fn banding_and_prefilter_toggles_commit_identically() {
         let r = merge_module(
             &mut m,
             &merger,
-            &DriverConfig::with_threshold(2)
-                .parallel()
-                .with_prefilter(false),
+            &DriverConfig::with_threshold(2).with_prefilter(false),
         );
         assert_eq!(base.committed, r.committed, "no prefilter, seed {seed}");
         assert_eq!(print_module(&base_module), print_module(&m));
@@ -219,9 +125,7 @@ fn oracle_guarded_planner_run_matches_unchecked_run() {
     let report = merge_module(
         &mut checked,
         &merger,
-        &DriverConfig::with_threshold(2)
-            .parallel()
-            .with_check_semantics(true),
+        &DriverConfig::with_threshold(2).with_check_semantics(true),
     );
     assert_eq!(report.semantic_rejections, 0);
     assert_eq!(report.committed, baseline.committed);

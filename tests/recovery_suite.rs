@@ -11,6 +11,7 @@ use ssa_ir::verifier::verify_module;
 use ssa_ir::{parse_module, parse_module_recovering, print_module, Module};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
+use telemetry::{DecisionEvent, RejectReason};
 use workloads::{mutate_text, CorpusSpec};
 use xmerge::{xmerge_corpus, XMergeConfig};
 
@@ -171,6 +172,39 @@ fn injected_scoring_panic_degrades_to_internal_error() {
     // candidate direction may still commit.
     assert_eq!(report.planner.internal_errors, 1);
     assert!(verify_module(&module).is_empty());
+}
+
+#[test]
+fn every_injected_scoring_panic_is_counted_in_xmerge() {
+    let _guard = lock();
+    telemetry::disarm_faults();
+    let corpus = CorpusSpec::default().generate();
+    let scoring_calls = xmerge_corpus(&mut corpus.clone(), &XMergeConfig::new())
+        .planner
+        .speculative_scores;
+    assert!(scoring_calls > 10, "{scoring_calls} scoring calls");
+    // A cross-module round scores every discovered pair up front, and most
+    // of them never reach the commit loop: each panic must still count.
+    for armed in [1, 10, scoring_calls + 5] {
+        let mut modules = corpus.clone();
+        let _ = telemetry::take_decisions();
+        telemetry::set_decisions(true);
+        telemetry::arm_fault("plan.score", armed as u64);
+        let report = xmerge_corpus(&mut modules, &XMergeConfig::new());
+        telemetry::disarm_faults();
+        telemetry::set_decisions(false);
+        let internal = telemetry::take_decisions()
+            .iter()
+            .filter(|d| d.event == DecisionEvent::Rejected(RejectReason::InternalError))
+            .count();
+        let expected = armed.min(report.planner.speculative_scores);
+        assert_eq!(
+            report.planner.internal_errors, expected,
+            "plan.score:{armed}"
+        );
+        assert_eq!(internal, expected, "plan.score:{armed}");
+        assert!(modules.iter().all(|m| verify_module(m).is_empty()));
+    }
 }
 
 #[test]
