@@ -1,11 +1,40 @@
-//! Criterion benchmarks of the substrate passes: register demotion, SSA
-//! construction (mem2reg) and the clean-up pipeline.
+//! Criterion benchmarks of the substrate passes: the textual frontend,
+//! register demotion, SSA construction (mem2reg) and the clean-up pipeline.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use ssa_ir::{parse_module_recovering, print_module};
 use ssa_passes::{cleanup_function, mem2reg, reg2mem};
-use workloads::{generate_function, FunctionSpec};
+use workloads::{generate_function, FunctionSpec, PerfTier};
+
+/// Loads the M tier, cleaned like `gen-corpus --clean`, as `salssa` loads
+/// its inputs: the frontend's throughput on the benchmark's `xmerge-m` text.
+fn parse_benches(c: &mut Criterion) {
+    let texts: Vec<String> = PerfTier::M
+        .spec()
+        .generate()
+        .into_iter()
+        .map(|mut module| {
+            for function in module.functions_mut() {
+                cleanup_function(function);
+            }
+            print_module(&module)
+        })
+        .collect();
+    let bytes: usize = texts.iter().map(String::len).sum();
+    let mut group = c.benchmark_group("parse");
+    group.throughput(Throughput::Bytes(bytes as u64));
+    group.bench_function("recovering/perf-tier-m", |b| {
+        b.iter(|| {
+            texts
+                .iter()
+                .map(|text| parse_module_recovering(text).module.num_functions())
+                .sum::<usize>()
+        })
+    });
+    group.finish();
+}
 
 fn pass_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("passes");
@@ -43,5 +72,5 @@ fn pass_benches(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, pass_benches);
+criterion_group!(benches, parse_benches, pass_benches);
 criterion_main!(benches);

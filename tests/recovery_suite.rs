@@ -89,6 +89,52 @@ fn clean_pair_fixture_is_clean_and_commits_one_merge() {
     assert!(verify_module(&module).is_empty());
 }
 
+#[test]
+fn integer_widths_outside_1_to_64_are_skipped_at_load() {
+    let _guard = lock();
+    // Integer constants are kept in an `i64`, so a width must be 1 to 64.
+    // Loaded, an `i0` copy of the clean pair would panic the semantic
+    // oracle's truncation in debug builds (the pair lost to isolated
+    // internal errors) and commit in release builds, and an `i65` copy
+    // would merge with 64-bit semantics.
+    let pair = fixture("clean_pair.ll");
+    let copy = |ty: &str, tag: &str| {
+        pair.replace("i64", ty)
+            .replace("@pair_", &format!("@{tag}_"))
+    };
+    let text = [copy("i0", "zero"), copy("i65", "wide"), pair.clone()].concat();
+    let err = parse_module(&text).unwrap_err();
+    assert_eq!((err.message.as_str(), err.line), ("unknown type 'i0'", 1));
+
+    let recovered = parse_module_recovering(&text);
+    let skips: Vec<(&str, usize, &str)> = recovered
+        .skipped
+        .iter()
+        .map(|s| (s.name.as_str(), s.line, s.message.as_str()))
+        .collect();
+    assert_eq!(
+        skips,
+        [
+            ("zero_a", 1, "unknown type 'i0'"),
+            ("zero_b", 18, "unknown type 'i0'"),
+            ("wide_a", 34, "unknown type 'i65'"),
+            ("wide_b", 51, "unknown type 'i65'"),
+        ]
+    );
+    // What loads is the clean pair, which merges as it does on its own.
+    let mut module = recovered.module;
+    assert_eq!(module.num_functions(), 2);
+    let config = DriverConfig {
+        check_semantics: true,
+        ..DriverConfig::default()
+    };
+    let merger = SalSsaMerger::new(MergeOptions::default());
+    let report = merge_module(&mut module, &merger, &config);
+    assert_eq!(report.planner.internal_errors, 0);
+    assert_eq!(report.num_merges(), 1);
+    assert!(verify_module(&module).is_empty());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
