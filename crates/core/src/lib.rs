@@ -51,7 +51,7 @@ pub use driver::{
     build_thunk, estimate_profit, merge_module, DriverConfig, DriverMode, FunctionMerger,
     MergeRecord, ModuleMergeReport, SalSsaMerger, SEMANTIC_SAMPLES, SEMANTIC_SEED,
 };
-pub use merge::{merge_pair, merge_pair_with_distance, merged_param_maps, PairMerge, Refused};
+pub use merge::{merge_pair, merge_pair_with_distance, PairMerge, Refused};
 pub use options::MergeOptions;
 pub use plan::{run_plan, CandidateSource, CommitOutcome, PlanStats, ScoreCache};
 pub use ssa_repair::{repair, RepairStats};

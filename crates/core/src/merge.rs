@@ -12,7 +12,7 @@
 //! [`AlignmentStats`] records both the live peak and the footprint the full
 //! matrix would have had.
 
-use crate::codegen::{self, CodegenMaps};
+use crate::codegen;
 use crate::options::MergeOptions;
 use crate::ssa_repair::{self, RepairStats};
 use fm_align::{align_banded, linearize, AlignmentStats, Band};
@@ -133,23 +133,6 @@ pub fn merge_pair_with_distance(
         param_f1: maps.param_f1,
         param_f2: maps.param_f2,
     })
-}
-
-/// Exposes the parameter mapping of a merge so callers (thunk generation,
-/// differential tests) can construct the argument list of the merged function
-/// for a call that originally targeted `f1` (side `false`) or `f2` (side
-/// `true`).
-pub fn merged_param_maps(
-    f1: &Function,
-    f2: &Function,
-    options: &MergeOptions,
-) -> Option<(Vec<u32>, Vec<u32>, usize)> {
-    let seq1 = linearize(f1);
-    let seq2 = linearize(f2);
-    let alignment = align_banded(f1, &seq1, f2, &seq2, band_for(options, None));
-    let (merged, maps): (Function, CodegenMaps) =
-        codegen::generate(f1, f2, &alignment, options, "tmp")?;
-    Some((maps.param_f1, maps.param_f2, merged.params.len()))
 }
 
 #[cfg(test)]
@@ -292,7 +275,8 @@ L4:
     fn param_maps_cover_all_parameters() {
         let f1 = parse_function(F1).unwrap();
         let f2 = parse_function(F2).unwrap();
-        let (p1, p2, n) = merged_param_maps(&f1, &f2, &MergeOptions::default()).unwrap();
+        let merge = merge_pair(&f1, &f2, &MergeOptions::default(), "m").unwrap();
+        let (p1, p2, n) = (&merge.param_f1, &merge.param_f2, merge.merged.params.len());
         assert_eq!(p1.len(), f1.params.len());
         assert_eq!(p2.len(), f2.params.len());
         assert!(p1.iter().chain(p2.iter()).all(|i| (*i as usize) < n));

@@ -17,13 +17,16 @@
 //!
 //! ## Cost
 //!
-//! One repair builds one dominator tree and checks every use once to find the
-//! broken definitions (a use in its definition's own block by walking that
-//! block up to the first of the two), collects the uses of all broken
-//! definitions in one more pass, pairs them (quadratic in the number of
-//! broken definitions of each input function, not in the function's size),
-//! places each store and load after one search of its block, and runs
-//! [`ssa_passes::mem2reg::promote_slots`] once over all slots.
+//! One repair asks for one dominator tree, which the thread's memo of CFG
+//! analyses builds only when its last build was for a different CFG. It
+//! checks every use once to find the broken definitions (a use in its
+//! definition's own block by walking that block up to the first of the
+//! two), collects the uses of all broken definitions in one more pass, pairs
+//! them (quadratic in the number of broken definitions of each input
+//! function, not in the function's size), places each store and load after
+//! one search of its block, and runs [`ssa_passes::mem2reg::promote_slots`]
+//! once over all slots. Demotion changes no edge, so `promote_slots` is
+//! handed the same tree without a rebuild.
 
 use crate::codegen::CodegenMaps;
 use ssa_ir::dominators::DomTree;

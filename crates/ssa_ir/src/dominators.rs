@@ -4,10 +4,20 @@
 //! (SSA dominance property), the standard SSA construction used by `mem2reg`
 //! and by SalSSA's SSA-repair stage, and the phi-node placement of the merged
 //! code generator.
+//!
+//! ## Cost
+//!
+//! [`DomTree::compute`] goes through the thread's memo of CFG analyses: a
+//! tree is built only when the CFG differs from the one the thread's last
+//! tree was built from, and is otherwise shared as an `Rc`, so passes that
+//! only rewrite instructions, or ask twice, pay one walk over the blocks and
+//! their successors instead of a build.
 
+use crate::cfg_memo;
 use crate::function::Function;
 use crate::ids::{BlockId, EntityId, InstId};
 use std::collections::HashSet;
+use std::rc::Rc;
 
 /// Marks an unreachable block in the position table.
 const UNREACHABLE: u32 = u32::MAX;
@@ -18,7 +28,7 @@ const UNREACHABLE: u32 = u32::MAX;
 /// every table is a vector over those positions: computing the tree costs a
 /// handful of allocations whatever the size of the function, and a
 /// dominance query walks up plain indices.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomTree {
     /// Reverse post-order of reachable blocks.
     rpo: Vec<BlockId>,
@@ -39,14 +49,20 @@ pub struct DomTree {
 }
 
 impl DomTree {
-    /// Computes the dominator tree of `function`.
+    /// The dominator tree of `function`. Each thread keeps its last build
+    /// and hands it out again while the CFG is the one it was built from
+    /// (see the module's Cost notes).
     ///
     /// # Panics
     ///
     /// Panics if the function has no entry block.
-    pub fn compute(function: &Function) -> DomTree {
+    pub fn compute(function: &Function) -> Rc<DomTree> {
+        cfg_memo::DOM_TREE.with(|memo| memo.get_or_build(function, DomTree::build))
+    }
+
+    fn build(function: &Function) -> DomTree {
         let entry = function.entry();
-        let rpo = function.reverse_post_order();
+        let rpo = function.reverse_post_order().to_vec();
         let n = rpo.len();
         let slots = function
             .block_ids()

@@ -1,5 +1,6 @@
 //! Functions, basic blocks and the mutation API used by all passes.
 
+use crate::cfg_memo;
 use crate::ids::{Arena, BlockId, InstId};
 use crate::instruction::{InstData, InstKind};
 use crate::types::Type;
@@ -7,6 +8,7 @@ use crate::value::Value;
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -533,16 +535,22 @@ impl Function {
         }
     }
 
-    /// Computes the predecessor map of the whole CFG. A block appears once per
+    /// The predecessor map of the whole CFG. A block appears once per
     /// incoming edge (duplicates possible when a terminator lists the same
-    /// successor twice).
-    pub fn predecessors(&self) -> HashMap<BlockId, Vec<BlockId>> {
-        let mut preds: HashMap<BlockId, Vec<BlockId>> =
-            self.block_ids().map(|b| (b, Vec::new())).collect();
-        for b in self.block_ids() {
-            self.for_each_successor(b, |s| preds.entry(s).or_default().push(b));
-        }
-        preds
+    /// successor twice), in layout order. Each thread keeps its last build
+    /// and hands it out again while the CFG is the one it was built from,
+    /// like [`DomTree::compute`](crate::DomTree::compute).
+    pub fn predecessors(&self) -> Rc<HashMap<BlockId, Vec<BlockId>>> {
+        cfg_memo::PREDECESSORS.with(|memo| {
+            memo.get_or_build(self, |function| {
+                let mut preds: HashMap<BlockId, Vec<BlockId>> =
+                    function.block_ids().map(|b| (b, Vec::new())).collect();
+                for b in function.block_ids() {
+                    function.for_each_successor(b, |s| preds.entry(s).or_default().push(b));
+                }
+                preds
+            })
+        })
     }
 
     /// Total number of instructions (phis + body + terminators) across all
@@ -618,12 +626,18 @@ impl Function {
     }
 
     /// Blocks in reverse post-order from the entry block. Unreachable blocks
-    /// are not included.
-    pub fn reverse_post_order(&self) -> Vec<BlockId> {
+    /// are not included. Each thread keeps its last build and hands it out
+    /// again while the CFG is the one it was built from, like
+    /// [`DomTree::compute`](crate::DomTree::compute).
+    pub fn reverse_post_order(&self) -> Rc<Vec<BlockId>> {
+        cfg_memo::REVERSE_POST_ORDER.with(|memo| memo.get_or_build(self, Function::build_rpo))
+    }
+
+    fn build_rpo(&self) -> Vec<BlockId> {
         let Some(entry) = self.entry else {
             return Vec::new();
         };
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = HashSet::new();
         let mut post = Vec::new();
         // Iterative DFS with an explicit stack to survive deep CFGs.
         enum Frame {
@@ -655,8 +669,8 @@ impl Function {
     }
 
     /// Blocks reachable from the entry.
-    pub fn reachable_blocks(&self) -> std::collections::HashSet<BlockId> {
-        self.reverse_post_order().into_iter().collect()
+    pub fn reachable_blocks(&self) -> HashSet<BlockId> {
+        self.reverse_post_order().iter().copied().collect()
     }
 
     /// Looks up a block by label name.

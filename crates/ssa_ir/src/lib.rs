@@ -31,6 +31,7 @@
 //! ```
 
 pub mod builder;
+mod cfg_memo;
 pub mod dominators;
 pub mod function;
 pub mod ids;

@@ -31,9 +31,10 @@
 //! aborts. [`parse_module_recovering`] degrades gracefully instead — a unit
 //! that fails any stage is skipped with a [`SkippedFunction`] record carrying
 //! function/line provenance while every healthy unit still loads. Both
-//! report an error at the line where it was detected; one detected past a
-//! unit's last token takes the unit's first line, except an unexpected end
-//! of input, which takes the line of the last token.
+//! report an error at the line of the token it concerns (an unknown type,
+//! predicate or instruction word is reported at its own line); one detected
+//! past a unit's last token takes the unit's first line, except an
+//! unexpected end of input, which takes the line of the last token.
 
 use crate::function::{Function, Linkage};
 use crate::ids::{BlockId, EntityId, InstId};
@@ -696,10 +697,11 @@ impl<'t, 'a> Parser<'t, 'a> {
         Ok(t)
     }
 
+    /// Fails at the line of the token consumed last: the offending one.
     fn err<T>(&self, message: impl Into<String>) -> Result<T> {
         Err(ParseError {
             message: message.into(),
-            line: self.line(),
+            line: self.tokens[self.pos - 1].line,
         })
     }
 
@@ -771,10 +773,10 @@ impl<'t, 'a> Parser<'t, 'a> {
 
     fn ty(&mut self) -> Result<Type> {
         let w = self.word()?;
-        parse_type(w).ok_or_else(|| ParseError {
-            message: format!("unknown type '{w}'"),
-            line: self.line(),
-        })
+        match parse_type(w) {
+            Some(ty) => Ok(ty),
+            None => self.err(format!("unknown type '{w}'")),
+        }
     }
 
     fn label(&mut self) -> Result<&'a str> {
@@ -887,7 +889,12 @@ impl<'t, 'a> Parser<'t, 'a> {
                     Some(Tok::Punct('}')) => break,
                     // Next block label: Word followed by ':'
                     Some(Tok::Word(_)) if self.peek_is_label() => break,
-                    None => return self.err("unterminated function body"),
+                    None => {
+                        return Err(ParseError {
+                            message: "unterminated function body".into(),
+                            line: self.line(),
+                        })
+                    }
                     _ => stmts.push(self.statement()?),
                 }
             }
@@ -945,10 +952,9 @@ impl<'t, 'a> Parser<'t, 'a> {
         match self.word()? {
             "icmp" => {
                 let predw = self.word()?;
-                let pred = parse_icmp(predw).ok_or_else(|| ParseError {
-                    message: format!("unknown icmp predicate '{predw}'"),
-                    line: self.line(),
-                })?;
+                let Some(pred) = parse_icmp(predw) else {
+                    return self.err(format!("unknown icmp predicate '{predw}'"));
+                };
                 let ty = self.ty()?;
                 let lhs = self.operand()?;
                 self.expect_punct(',')?;
@@ -1704,6 +1710,36 @@ entry:
         let (err, skip_line) = error_lines("\n\ndefine i32 @g(");
         assert_eq!(err.message, "unexpected end of input");
         assert_eq!((err.line, skip_line), (3, 3));
+    }
+
+    #[test]
+    fn an_offending_word_at_the_end_of_a_line_reports_its_own_line() {
+        // Each offending token ends line 3, so the next token is on line 4.
+        let cases = [
+            ("  %m = alloca i0\n  ret i32 %x\n", "unknown type 'i0'"),
+            (
+                "  frobnicate\n  ret i32 %x\n",
+                "unknown instruction 'frobnicate'",
+            ),
+            (
+                "  %c = icmp sometimes\n    i32 %x, 0\n  ret i32 %x\n",
+                "unknown icmp predicate 'sometimes'",
+            ),
+            (
+                "  %p = getelementptr ptr null, i64 1, stride x\n  ret i32 %x\n",
+                "expected stride integer, found Word(\"x\")",
+            ),
+            (
+                "  switch i32 %x, label %entry [ x\n : label %entry ]\n",
+                "expected case value, found Word(\"x\")",
+            ),
+        ];
+        for (body, message) in cases {
+            let text = format!("define i32 @f(i32 %x) {{\nentry:\n{body}}}\n");
+            let (err, skip_line) = error_lines(&text);
+            assert_eq!(err.message, message);
+            assert_eq!((err.line, skip_line), (3, 3), "{message}");
+        }
     }
 
     #[test]

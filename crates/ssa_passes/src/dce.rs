@@ -65,7 +65,11 @@ pub fn eliminate_dead_code(function: &mut Function) -> usize {
 /// Removes blocks that are unreachable from the entry, fixing up phi-nodes in
 /// the surviving blocks. Returns the number of blocks removed.
 pub fn remove_unreachable_blocks(function: &mut Function) -> usize {
-    let reachable: HashSet<_> = function.reachable_blocks();
+    let rpo = function.reverse_post_order();
+    if rpo.len() == function.num_blocks() {
+        return 0;
+    }
+    let reachable: HashSet<_> = rpo.iter().copied().collect();
     let dead: Vec<_> = function
         .block_ids()
         .filter(|b| !reachable.contains(b))

@@ -16,11 +16,14 @@
 //!
 //! ## Cost
 //!
-//! [`promote_slots`] makes one pass to find the slots' loads and stores, builds
-//! one dominator tree, places phis at each slot's iterated dominance frontier,
-//! renames in one walk down the dominator tree, and rewrites the loads' uses
-//! in one pass at the end: O(n + s·b) for n instructions, s slots and b
-//! blocks (the walk carries one current value per slot into every block).
+//! [`promote_slots`] makes one pass to find the slots' loads and stores, takes
+//! the dominator tree and predecessor lists from the thread's memo of CFG
+//! analyses (built only when the memo's last build was for a different CFG,
+//! so after SSA repair, which changes no edge, the tree is not rebuilt),
+//! places phis at each slot's iterated dominance frontier, renames in one
+//! walk down the dominator tree, and rewrites the loads' uses in one pass at
+//! the end: O(n + s·b) for n instructions, s slots and b blocks (the walk
+//! carries one current value per slot into every block).
 //! [`promote_function`] first checks each `alloca` with one scan of the
 //! function, so it adds O(n) per `alloca`.
 

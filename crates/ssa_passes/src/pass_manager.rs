@@ -2,7 +2,8 @@
 //! compilation pipeline" that the paper's compile-time figure (Figure 24)
 //! normalizes against.
 
-use crate::{constant_fold, dce, phi_dedup, simplify_cfg};
+use crate::simplify_cfg::{self, SimplifyStats};
+use crate::{constant_fold, dce, phi_dedup};
 use ssa_ir::{Function, Module};
 use std::time::{Duration, Instant};
 
@@ -42,12 +43,18 @@ impl PipelineReport {
 /// Runs the standard clean-up pipeline on one function: CFG simplification,
 /// constant folding, phi simplification and dead-code elimination, iterated
 /// twice (mirroring `-Os`-style clean-up after function merging).
+///
+/// A sweep in which no pass changed anything leaves the function as it found
+/// it, so the next sweep would change nothing either and is skipped.
 pub fn cleanup_function(function: &mut Function) {
     for _ in 0..2 {
-        simplify_cfg::simplify(function);
-        constant_fold::fold_constants(function);
-        phi_dedup::simplify_phis(function);
-        dce::eliminate_dead_code(function);
+        let simplified = simplify_cfg::simplify(function);
+        let folded = constant_fold::fold_constants(function);
+        let phis = phi_dedup::simplify_phis(function);
+        let dead = dce::eliminate_dead_code(function);
+        if simplified == SimplifyStats::default() && folded + phis + dead == 0 {
+            return;
+        }
     }
 }
 
@@ -59,22 +66,27 @@ pub fn cleanup_module(module: &mut Module) -> PipelineReport {
         ..PipelineReport::default()
     };
     for function in module.functions_mut() {
+        // The sweeps of `cleanup_function`, timed pass by pass.
         for _ in 0..2 {
             let t = Instant::now();
-            simplify_cfg::simplify(function);
+            let simplified = simplify_cfg::simplify(function);
             report.add("simplify-cfg", t.elapsed());
 
             let t = Instant::now();
-            constant_fold::fold_constants(function);
+            let folded = constant_fold::fold_constants(function);
             report.add("constant-fold", t.elapsed());
 
             let t = Instant::now();
-            phi_dedup::simplify_phis(function);
+            let phis = phi_dedup::simplify_phis(function);
             report.add("phi-simplify", t.elapsed());
 
             let t = Instant::now();
-            dce::eliminate_dead_code(function);
+            let dead = dce::eliminate_dead_code(function);
             report.add("dce", t.elapsed());
+
+            if simplified == SimplifyStats::default() && folded + phis + dead == 0 {
+                break;
+            }
         }
     }
     report

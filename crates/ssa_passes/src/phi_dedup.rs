@@ -10,6 +10,7 @@ use crate::subst::ValueSubst;
 use ssa_ir::{BlockId, DomTree, Function, InstId, InstKind, Type, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Replaces phis that have a single distinct incoming value (ignoring `undef`
 /// and self-references) with that value. Runs to a fixed point. Returns the
@@ -21,7 +22,7 @@ use std::collections::HashMap;
 /// phi needs the dominance test.
 pub fn simplify_trivial_phis(function: &mut Function) -> usize {
     let mut removed = 0;
-    let mut domtree: Option<DomTree> = None;
+    let mut domtree: Option<Rc<DomTree>> = None;
     loop {
         let mut subst = ValueSubst::default();
         let mut dead = Vec::new();

@@ -7,15 +7,22 @@
 //!
 //! ## Cost
 //!
-//! Every sub-pass of a [`simplify`] round is one walk over the function:
-//! predecessor lists and the dominator tree are built at most once per call,
-//! and removed phis and blocks are resolved through one value and one label
+//! Every sub-pass of a [`simplify`] round is one walk over the function, and
+//! removed phis and blocks are resolved through one value and one label
 //! substitution applied once at the end, never by a whole-function rescan per
-//! edit. A round therefore costs time linear in the number of instructions
-//! and blocks, plus, for each removed forwarding block, the size of its
+//! edit. Predecessor lists, the reverse post-order and the dominator tree
+//! come from the thread's memo of CFG analyses ([`Function::predecessors`],
+//! [`Function::reverse_post_order`], [`ssa_ir::DomTree::compute`]): each is
+//! rebuilt only when the CFG differs from the one its last build was for,
+//! and otherwise costs one walk over the blocks and their successors.
+//! Sub-passes stop early when there is nothing to do: forwarder removal
+//! before asking for anything when no block is a forwarder, and
+//! unreachable-block removal when the reverse post-order holds every block.
+//! A round therefore costs time linear in the number of instructions and
+//! blocks, plus, for each removed forwarding block, the size of its
 //! destination's phis and predecessor list. [`simplify`] repeats rounds
-//! until one changes nothing; a cascade of simplifications rarely needs more
-//! than three.
+//! until one changes nothing; a cascade of simplifications rarely needs
+//! more than three.
 
 use crate::dce;
 use crate::subst::ValueSubst;
@@ -33,6 +40,9 @@ pub struct SimplifyStats {
     pub forwarders_removed: usize,
     /// Unreachable blocks removed.
     pub unreachable_removed: usize,
+    /// Trivial phis removed. Not part of the total that decides whether
+    /// [`simplify`] runs another round.
+    pub trivial_phis_removed: usize,
 }
 
 impl SimplifyStats {
@@ -51,7 +61,7 @@ pub fn simplify(function: &mut Function) -> SimplifyStats {
         let mut round = SimplifyStats::default();
         round.branches_folded += fold_constant_branches(function);
         round.unreachable_removed += dce::remove_unreachable_blocks(function);
-        crate::phi_dedup::simplify_trivial_phis(function);
+        stats.trivial_phis_removed += crate::phi_dedup::simplify_trivial_phis(function);
         round.forwarders_removed += remove_forwarding_blocks(function);
         round.blocks_merged += merge_single_pred_blocks(function);
         stats.branches_folded += round.branches_folded;
@@ -116,34 +126,34 @@ pub fn fold_constant_branches(function: &mut Function) -> usize {
 /// conflicting phi entry (a predecessor that already reaches the destination
 /// with a different value) and when it is the entry block.
 ///
-/// The predecessor lists are built once and kept up to date as forwarders
-/// go, in the order [`Function::predecessors`] gives them (predecessors in
-/// layout order, one entry per edge): that order decides the order in which
-/// rewired phi incomings are appended.
+/// A function without a forwarder returns before anything is built.
+/// Otherwise the predecessor lists of [`Function::predecessors`] are kept up
+/// to date as forwarders go, in their order (predecessors in layout order,
+/// one entry per edge): that order decides the order in which rewired phi
+/// incomings are appended. The lists that changed live in a side map.
 pub fn remove_forwarding_blocks(function: &mut Function) -> usize {
     let entry = function.entry();
     let layout: Vec<BlockId> = function.block_ids().collect();
+    if !layout
+        .iter()
+        .any(|&block| block != entry && forwarding_dest(function, block).is_some())
+    {
+        return 0;
+    }
     let position: HashMap<BlockId, usize> =
         layout.iter().enumerate().map(|(i, b)| (*b, i)).collect();
-    let mut preds = function.predecessors();
+    let preds = function.predecessors();
+    let mut updated: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
     // Each removed forwarder, with the block it forwarded to.
     let mut forwarded: HashMap<BlockId, BlockId> = HashMap::new();
     for &block in &layout {
         if block == entry {
             continue;
         }
-        let data = function.block(block);
-        if !data.phis.is_empty() || !data.insts.is_empty() {
-            continue;
-        }
-        let Some(term) = data.term else { continue };
-        let InstKind::Br { dest } = function.inst(term).kind else {
+        let Some(dest) = forwarding_dest(function, block) else {
             continue;
         };
-        if dest == block {
-            continue; // self-loop, leave it alone
-        }
-        let fwd_preds = &preds[&block];
+        let fwd_preds = updated.get(&block).unwrap_or(&preds[&block]);
         // Check that rewiring does not create conflicting phi incomings in the
         // destination: for every phi and every predecessor of the forwarder,
         // the value flowing through the forwarder must be compatible with any
@@ -169,7 +179,9 @@ pub fn remove_forwarding_blocks(function: &mut Function) -> usize {
         if !ok {
             continue;
         }
-        let fwd_preds = preds.remove(&block).unwrap_or_default();
+        let fwd_preds = updated
+            .remove(&block)
+            .unwrap_or_else(|| preds[&block].clone());
         // Rewire destination phis: the value that flowed through the forwarder
         // now flows directly from each of the forwarder's predecessors.
         for &phi in &dest_phis {
@@ -199,12 +211,11 @@ pub fn remove_forwarding_blocks(function: &mut Function) -> usize {
                 }
             });
         }
-        let dest_preds = preds
-            .get_mut(&dest)
-            .expect("every block has a predecessor list");
-        dest_preds.retain(|b| *b != block);
-        let direct = std::mem::take(dest_preds);
-        *dest_preds = merge_by_position(direct, fwd_preds, &position);
+        let mut direct = updated
+            .remove(&dest)
+            .unwrap_or_else(|| preds[&dest].clone());
+        direct.retain(|b| *b != block);
+        updated.insert(dest, merge_by_position(direct, fwd_preds, &position));
         forwarded.insert(block, dest);
     }
     if forwarded.is_empty() {
@@ -220,6 +231,19 @@ pub fn remove_forwarding_blocks(function: &mut Function) -> usize {
         .collect();
     function.rewrite_block_refs(|b| target.get(&b).copied().unwrap_or(b));
     forwarded.len()
+}
+
+/// The destination of `block` when it holds nothing but a branch to another
+/// block.
+fn forwarding_dest(function: &Function, block: BlockId) -> Option<BlockId> {
+    let data = function.block(block);
+    if !data.phis.is_empty() || !data.insts.is_empty() {
+        return None;
+    }
+    match function.inst(data.term?).kind {
+        InstKind::Br { dest } if dest != block => Some(dest),
+        _ => None,
+    }
 }
 
 /// Merges two predecessor lists that are each in layout order into one.
