@@ -21,11 +21,6 @@
 //! - `explain <dir> <fn-a> <fn-b>` — replay discovery and scoring for one
 //!   candidate pair and print the verdict chain (why it would or would not
 //!   be merged).
-//! - `perf` — the standardized regression harness: generate a pinned corpus
-//!   tier (S/M/L) in-process, run the cross-module pipeline with allocation
-//!   tracking on, and append a machine-readable entry (wall time, allocator
-//!   peak, `VmHWM`, key counters) to `BENCH_xmerge.json`; `--baseline`
-//!   gates against a checked-in baseline, `--update-baseline` refreshes it.
 //! - `profile <trace.json>` — fold a previously written Chrome trace into a
 //!   flamegraph-style self/total time + bytes rollup per span.
 //! - `fuzz` — adversarial-input smoke mode: generate corpora in-process,
@@ -58,8 +53,6 @@
 //! cargo run --release --bin salssa -- report --json corpus/
 //! ```
 
-mod perf;
-
 use callgraph::{CallGraph, CorpusCallIndex};
 use salssa::{merge_module, DriverConfig, MergeOptions, SalSsaMerger};
 use ssa_ir::verifier::verify_module;
@@ -90,10 +83,6 @@ commands:
   explain <dir> <a> <b>  replay cross-module discovery + scoring for the pair
                          of functions <a>, <b> (each 'name' or 'module:name')
                          and print the verdict chain
-  perf                   run the standardized perf tier (see --tier) with
-                         allocation tracking on and append a machine-readable
-                         entry to BENCH_xmerge.json; with --baseline, gate
-                         against a checked-in baseline (exit 1 on regression)
   profile <trace.json>   fold a Chrome trace written by --trace-out into a
                          self/total time + bytes rollup per span
   fuzz                   adversarial-input smoke mode: generate corpora
@@ -156,17 +145,9 @@ options:
                          allocation tracking)
       --decisions-out <file>  write the candidate-pair decision log (discovered,
                          scored, rejected+reason, committed) as JSONL
-      --tier <S|M|L>     perf: corpus tier to run (default S)
       --iters <N>        fuzz: corpora to generate and corrupt (default 16)
       --seed <N>         fuzz: base seed for corpus generation and mutation
                          (default 0; every failure reproduces from its seed)
-      --runs <N>         perf: repetitions; the entry records every wall time
-                         and gates on the fastest (default 1)
-      --bench-out <file> perf: append the entry here (default BENCH_xmerge.json)
-      --baseline <file>  perf: compare against this baseline — soft wall-time
-                         band, hard allocator-peak ceiling, exact commit count
-      --update-baseline  perf: rewrite --baseline from this run instead of
-                         gating
       --json             emit machine-readable JSON instead of the report
       --out <file>       index: write the serialized index here ('-' = stdout)
       --out-dir <dir>    xmerge: write the merged modules here
@@ -183,7 +164,6 @@ enum Command {
     Report,
     Lint,
     Explain,
-    Perf,
     Profile,
     Fuzz,
 }
@@ -207,11 +187,6 @@ struct Cli {
     trace_out: Option<String>,
     decisions_out: Option<String>,
     profile: bool,
-    tier: workloads::PerfTier,
-    runs: usize,
-    bench_out: Option<String>,
-    baseline: Option<String>,
-    update_baseline: bool,
     recovery: bool,
     deny_recovery: bool,
     fuzz_iters: usize,
@@ -237,11 +212,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut trace_out: Option<String> = None;
     let mut decisions_out: Option<String> = None;
     let mut profile = false;
-    let mut tier = workloads::PerfTier::S;
-    let mut runs = 1usize;
-    let mut bench_out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut update_baseline = false;
     let mut recovery = true;
     let mut deny_recovery = false;
     let mut fuzz_iters = 16usize;
@@ -317,25 +287,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--trace-out" => trace_out = Some(value_for(arg)?),
             "--decisions-out" => decisions_out = Some(value_for(arg)?),
             "--profile" => profile = true,
-            "--tier" => {
-                let t = value_for(arg)?;
-                tier = workloads::PerfTier::parse(&t)
-                    .ok_or_else(|| format!("unknown tier '{t}' (S|M|L)"))?;
-            }
-            "--runs" => {
-                runs = value_for(arg)?
-                    .parse()
-                    .map_err(|e| format!("bad {arg}: {e}"))?;
-            }
-            "--bench-out" => bench_out = Some(value_for(arg)?),
-            "--baseline" => baseline = Some(value_for(arg)?),
-            "--update-baseline" => update_baseline = true,
             "--json" => json = true,
             "--out" => out = Some(value_for(arg)?),
             "--out-dir" => out_dir = Some(value_for(arg)?),
             "--print-module" => print_module = true,
             "-h" | "--help" => return Err(String::new()),
-            "merge" | "index" | "xmerge" | "callgraph" | "report" | "lint" | "explain" | "perf"
+            "merge" | "index" | "xmerge" | "callgraph" | "report" | "lint" | "explain"
             | "profile" | "fuzz"
                 if command.is_none() && inputs.is_empty() =>
             {
@@ -346,7 +303,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     "callgraph" => Command::CallGraph,
                     "lint" => Command::Lint,
                     "explain" => Command::Explain,
-                    "perf" => Command::Perf,
                     "profile" => Command::Profile,
                     "fuzz" => Command::Fuzz,
                     _ => Command::Report,
@@ -358,13 +314,10 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     }
 
     let command = command.unwrap_or(Command::Merge);
-    // `perf` and `fuzz` generate their corpora in-process — they are the
-    // commands that take no input.
-    if inputs.is_empty() && !matches!(command, Command::Perf | Command::Fuzz) {
+    // `fuzz` generates its corpora in-process — it is the one command that
+    // takes no input.
+    if inputs.is_empty() && command != Command::Fuzz {
         return Err("no input given".to_string());
-    }
-    if command == Command::Perf && !inputs.is_empty() {
-        return Err("perf takes no inputs (the corpus is generated; see --tier)".to_string());
     }
     if command == Command::Fuzz && !inputs.is_empty() {
         return Err(
@@ -381,9 +334,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     }
     if !matches!(command, Command::Report | Command::Lint | Command::Explain) && inputs.len() > 1 {
         return Err("more than one input given".to_string());
-    }
-    if update_baseline && baseline.is_none() {
-        return Err("--update-baseline requires --baseline <file>".to_string());
     }
     Ok(Cli {
         command,
@@ -404,11 +354,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         trace_out,
         decisions_out,
         profile,
-        tier,
-        runs,
-        bench_out,
-        baseline,
-        update_baseline,
         recovery,
         deny_recovery,
         fuzz_iters,
@@ -575,7 +520,6 @@ fn main() -> ExitCode {
         Command::Report => run_report(&cli),
         Command::Lint => run_lint(&cli),
         Command::Explain => run_explain(&cli),
-        Command::Perf => perf::run_perf(&cli),
         Command::Profile => run_profile(&cli),
         Command::Fuzz => run_fuzz(&cli),
     };

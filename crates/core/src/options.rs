@@ -25,10 +25,6 @@ pub struct MergeOptions {
     pub xor_branch: bool,
     /// Code-size target used by the profitability cost model.
     pub target: Target,
-    /// Extra bytes the cost model charges per committed merge operation
-    /// (thunks, symbol table overhead). Tuning this trades false positives for
-    /// false negatives, the effect discussed around Figure 19.
-    pub merge_overhead_bytes: usize,
     /// Banded-alignment slack. `Some(w)` lets the aligner try a diagonal
     /// corridor of half-width `w` (widened by any fingerprint-distance hint)
     /// before the exact tier; `None` disables banding. Results are
@@ -43,7 +39,6 @@ impl Default for MergeOptions {
             operand_reordering: true,
             xor_branch: true,
             target: Target::X86Like,
-            merge_overhead_bytes: 0,
             band: Some(DEFAULT_BAND_SLACK),
         }
     }

@@ -3,10 +3,10 @@
 //! The components shared by the FMSA baseline and SalSSA in the reproduction
 //! of *Effective Function Merging in the SSA Form* (PLDI 2020):
 //!
-//! * [`linearize`] — turn a function's CFG into the sequence of labels and
+//! * [`linearize()`] — turn a function's CFG into the sequence of labels and
 //!   instructions that alignment operates on (phi-nodes and landing pads are
 //!   excluded, as in the paper),
-//! * [`align`] — Needleman–Wunsch global alignment maximizing the number of
+//! * [`align()`] — Needleman–Wunsch global alignment maximizing the number of
 //!   mergeable pairs, computed by a linear-space divide-and-conquer traceback
 //!   whose output is byte-identical to the classic full-matrix formulation
 //!   (kept as [`align_full_matrix`], the differential-test oracle and

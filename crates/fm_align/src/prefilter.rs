@@ -32,7 +32,7 @@
 //! the histogram cannot see. The filter therefore charges each function its
 //! **foldable bytes** `foldᵢ` — how much the same cleanup pipeline shrinks a
 //! solo clone of `fᵢ` (cached per function body, see
-//! [`ClassTable::foldable_bytes`]). Whatever cleanup strips from a
+//! `ClassTable::foldable_bytes`). Whatever cleanup strips from a
 //! function's own code inside the merged body it also strips from the solo
 //! clone: merging never makes side-exclusive code more foldable (operand
 //! divergence only introduces selects, which block folding rather than

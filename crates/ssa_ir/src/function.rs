@@ -171,7 +171,7 @@ impl Function {
         }
     }
 
-    /// Reads the opaque derived-analysis slot (see [`AnalysisSlot`]).
+    /// Reads the opaque derived-analysis slot (see `AnalysisSlot`).
     ///
     /// Returns a clone of the stored `Arc`, or `None` when nothing has been
     /// cached since the last mutation. Callers downcast to their own table

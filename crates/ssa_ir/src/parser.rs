@@ -5,13 +5,13 @@
 //!
 //! 1. **lex** — one pass over the bytes of the text makes a vector of
 //!    tokens, each a kind plus the slice of the text it spans and its line
-//!    ([`tokenize`]). ASCII bytes take a fast path; other characters are
+//!    (`tokenize`). ASCII bytes take a fast path; other characters are
 //!    decoded and classified by `char::is_whitespace`, `is_alphanumeric` and
 //!    `is_alphabetic`. Lexical errors are recorded and skipped instead of
 //!    aborting,
 //! 2. **structure** — the token vector is partitioned into top-level units
 //!    (`define` bodies, `declare`s, and stray-token runs) by brace depth
-//!    ([`segment_tokens`]), so one broken unit cannot desynchronize its
+//!    (`segment_tokens`), so one broken unit cannot desynchronize its
 //!    neighbors. A unit is a slice of the token vector,
 //! 3. **parse** — a cursor over each unit's tokens builds an AST whose names
 //!    borrow from the text,

@@ -19,8 +19,9 @@
 //! Turning tracking on mid-process is safe: frees of allocations made while
 //! tracking was off saturate the live-bytes counter at zero instead of
 //! underflowing. [`reset_alloc_peak`] re-arms the high-water mark at the
-//! current level so a measured region (e.g. one `salssa perf` run) reports
-//! its own peak, not the process's lifetime peak.
+//! current level so a measured region (e.g. the pipeline run of
+//! `tests/oracle_memory.rs`) reports its own peak, not the process's
+//! lifetime peak.
 //!
 //! Alongside the allocator's view, [`peak_rss_bytes`] / [`current_rss_bytes`]
 //! read the kernel's `VmHWM` / `VmRSS` from `/proc/self/status` (Linux only;

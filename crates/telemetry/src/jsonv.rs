@@ -2,10 +2,10 @@
 //!
 //! The build environment vendors no serde, but two read paths genuinely need
 //! to parse JSON back in: `salssa profile <trace.json>` (re-reading a Chrome
-//! trace the exporter wrote) and the `salssa perf` baseline gate (reading a
-//! checked-in baseline file). This is a small recursive-descent parser over
-//! the full JSON grammar — strict enough to reject malformed input with a
-//! byte offset, lenient about nothing.
+//! trace the exporter wrote) and the tests that read a JSON report back
+//! (`tests/concurrent_reports.rs`). This is a small recursive-descent parser
+//! over the full JSON grammar — strict enough to reject malformed input with
+//! a byte offset, lenient about nothing.
 
 use std::collections::BTreeMap;
 use std::fmt;

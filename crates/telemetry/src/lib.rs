@@ -7,10 +7,10 @@
 //! `tests/telemetry_suite.rs` enforce that merge records are bit-identical
 //! with telemetry on and off.
 //!
-//! * [`span`] — thread-aware begin/end spans with nesting, buffered per
-//!   thread (rayon-safe: the hot path touches only the current thread's own
-//!   buffer) and exported as Chrome Trace Event Format JSON for Perfetto.
-//!   When tracing is disabled a span costs one relaxed atomic load.
+//! * [`span`](mod@span) — thread-aware begin/end spans with nesting,
+//!   buffered per thread (rayon-safe: the hot path touches only the current
+//!   thread's own buffer) and exported as Chrome Trace Event Format JSON for
+//!   Perfetto. When tracing is disabled a span costs one relaxed atomic load.
 //! * [`histogram`] — a plain power-of-two-bucket [`Histogram`] that reports
 //!   own and add up. There is no process-wide metrics registry: every count
 //!   a report prints is summed from what the run's own calls return, so
@@ -27,7 +27,7 @@
 //!   a flamegraph-style self/total time + bytes rollup per phase, with call
 //!   counts and p50/p95/p99 latencies.
 //! * [`jsonv`] — a dependency-free JSON value parser (the build vendors no
-//!   serde) used to read traces and perf baselines back in.
+//!   serde) used to read traces and JSON reports back in.
 //! * [`faultinject`] — env-keyed fault probes (`SALSSA_FAULT=site[:N],…`)
 //!   at parse/score/commit/oracle sites, for proving that a single-pair
 //!   failure degrades to a recorded rejection instead of an abort.

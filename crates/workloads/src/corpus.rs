@@ -111,14 +111,15 @@ impl CorpusSpec {
     }
 }
 
-/// The standardized corpus sizes `salssa perf` (and CI's perf gate) run:
-/// fixed seeds and shapes, so two runs on the same commit always measure the
-/// same work.
+/// The standardized corpus sizes (`gen-corpus --tier`): fixed seeds and
+/// shapes, so two runs on the same commit always measure the same work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PerfTier {
-    /// Small — fast enough for a per-PR CI gate.
+    /// Small — fast enough for tier-1 tests; `tests/merged_output_pin.rs`
+    /// pins its merged output and the work that produced it.
     S,
-    /// Medium — 48 modules / 779 functions; the headline tracking tier.
+    /// Medium — 48 modules / 779 functions; the corpus of the benchmark's
+    /// `xmerge-m` workload.
     M,
     /// Large — stress tier for local investigations.
     L,

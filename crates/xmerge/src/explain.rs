@@ -7,7 +7,7 @@
 //! it in isolation: LSH discovery, speculative scoring, and the ODR hazard
 //! scan. Each stage appends an [`ExplainStep`] and the chain ends in a
 //! verdict. The replay uses exactly the production entry points
-//! ([`crate::index::CorpusIndex::build_incremental`], [`crate::discover`],
+//! ([`crate::index::CorpusIndex::build_incremental`], [`crate::discover()`],
 //! the pipeline's scorer and hazard scan), so the answer cannot drift from
 //! what the pipeline itself would do.
 //!

@@ -112,7 +112,7 @@ fn telemetry_counters(
 }
 
 /// The `telemetry` counters of a corpus run (see [`corpus_report_json`]).
-pub fn corpus_telemetry_counters(report: &CorpusMergeReport) -> [(&'static str, u64); 15] {
+fn corpus_telemetry_counters(report: &CorpusMergeReport) -> [(&'static str, u64); 15] {
     telemetry_counters(
         &report.alignments(),
         report.align_trimmed_entries,

@@ -8,9 +8,9 @@
 //! * [`index`] — a serializable **summary index**: per-function
 //!   MinHash/opcode-frequency fingerprints plus size metadata, built per
 //!   module and merged across a corpus without holding any IR;
-//! * [`discover`] — **sharded candidate discovery**: index entries are
-//!   bucketed by MinHash band (LSH) and shard co-occupants are scored in
-//!   parallel, avoiding the whole-program quadratic pair scan;
+//! * [`discover`](mod@discover) — **sharded candidate discovery**: index
+//!   entries are bucketed by MinHash band (LSH) and shard co-occupants are
+//!   scored in parallel, avoiding the whole-program quadratic pair scan;
 //! * [`pipeline`] — the end-to-end run: speculative parallel scoring of
 //!   every discovered candidate, then sequential profit-ordered commits that
 //!   import the donor function into the host module ([`ssa_ir::linker`]),
@@ -50,7 +50,7 @@ pub mod pipeline;
 pub use discover::{discover, CandidatePair, DiscoveryConfig};
 pub use explain::{explain_pair, ExplainStep, Explanation};
 pub use index::{CorpusIndex, FunctionSummary, IndexReuse, ModuleIndex};
-pub use json::{corpus_report_json, corpus_telemetry_counters, merge_report_json};
+pub use json::{corpus_report_json, merge_report_json};
 pub use pipeline::{
     xmerge_corpus, xmerge_corpus_with_index, CorpusMergeReport, CrossMergeRecord, FixpointConfig,
     HostPolicy, ModuleStats, XMergeConfig,

@@ -1,4 +1,4 @@
-//! Byte-identity pin of merged output.
+//! Byte-identity pin of merged output, and the exact gate on pipeline work.
 //!
 //! The planner-equivalence suite compares the driver with a reference loop
 //! that shares its pair-merging machinery, so a change that alters merged
@@ -6,9 +6,17 @@
 //! merged IR of three fixed inputs, and the reports' commit and pairs-scored
 //! counts, with constants captured from a known-good build. A pass rewrite
 //! that is meant to change only the cost of the pipeline (never its output)
-//! must leave every constant here as it is; a change that is meant to alter
-//! merged code recaptures them from the `actual` values the failure message
-//! prints.
+//! must leave every output constant here as it is; a change that is meant to
+//! alter merged code recaptures them from the `actual` values the failure
+//! message prints.
+//!
+//! The two corpus pins also pin the work their run did: DP cells, traceback
+//! and score-only alignment runs, and pre-filter checks and rejections. The
+//! schedule, not the core count, decides which pairs are scored, so these
+//! counts repeat exactly for a seed and, unlike wall time, can be gated
+//! exactly. A change that means to alter the work recaptures them the same
+//! way. Counts that scoring workers can race on (class-table builds,
+//! structural-key lookups) are not pinned.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -45,6 +53,17 @@ fn assert_pin(what: &str, actual: Pin, expected: Pin) {
     );
 }
 
+/// `(DP cells, traceback runs, score-only runs, pre-filter checks, pre-filter
+/// rejections)` of one pinned run.
+type Work = (u64, u64, u64, usize, usize);
+
+fn assert_work(what: &str, actual: Work, expected: Work) {
+    assert_eq!(
+        actual, expected,
+        "{what}: pipeline work changed (actual = {actual:?}, expected = {expected:?})"
+    );
+}
+
 #[test]
 fn perf_tier_s_xmerge_output_is_pinned() {
     let mut modules = PerfTier::S.spec().generate();
@@ -59,6 +78,14 @@ fn perf_tier_s_xmerge_output_is_pinned() {
         actual,
         (0x11de_6b46_e1e7_d461, 24, 131),
     );
+    let work = (
+        report.align_cells,
+        report.align_full_runs,
+        report.align_score_only_runs,
+        report.planner.prefilter_checked,
+        report.planner.prefilter_rejected,
+    );
+    assert_work("PerfTier::S xmerge", work, (183_188, 151, 54, 131, 0));
 }
 
 #[test]
@@ -68,11 +95,17 @@ fn spec2006_quarter_scale_intra_output_is_pinned() {
     let config = DriverConfig::default();
     let mut modules = Vec::new();
     let (mut commits, mut pairs) = (0, 0);
+    let mut work: Work = (0, 0, 0, 0, 0);
     for spec in workloads::scale(workloads::spec2006(), 0.25) {
         let mut module = spec.generate();
         let report = merge_module(&mut module, &merger, &config);
         commits += report.committed.len();
         pairs += report.planner.speculative_scores + report.planner.inline_scores;
+        work.0 += report.total_cells;
+        work.1 += report.align_full_runs;
+        work.2 += report.align_score_only_runs;
+        work.3 += report.planner.prefilter_checked;
+        work.4 += report.planner.prefilter_rejected;
         modules.push(module);
     }
     let actual = (hash_modules(&modules), commits, pairs);
@@ -81,6 +114,7 @@ fn spec2006_quarter_scale_intra_output_is_pinned() {
         actual,
         (0x8159_c21b_cb66_fc59, 20, 170),
     );
+    assert_work("spec2006 x0.25 intra", work, (2_454_220, 170, 18, 170, 0));
 }
 
 #[test]
