@@ -1,11 +1,11 @@
-//! The serializable call-site index: per-module summaries of who calls what.
+//! The call-site index: per-module summaries of who calls what.
 //!
 //! Scanning instructions is the expensive part of call-graph construction, so
 //! it is split off into a per-module summary keyed by
-//! [`ssa_ir::Module::content_hash`] — the same incremental-rebuild discipline
-//! as the `xmerge` summary index. A fixpoint round re-summarizes only the
-//! modules a commit touched; symbol resolution (which depends on *other*
-//! modules) is redone cheaply from the summaries by
+//! [`ssa_ir::Module::content_hash`] — the same in-memory incremental-rebuild
+//! discipline as the `xmerge` summary index. A fixpoint round re-summarizes
+//! only the modules a commit touched; symbol resolution (which depends on
+//! *other* modules) is redone cheaply from the summaries by
 //! [`crate::CallGraph::resolve`].
 
 use rayon::prelude::*;
@@ -137,92 +137,6 @@ impl CorpusCallIndex {
             .map(|(_, count)| u64::from(*count))
             .sum()
     }
-
-    /// Serializes the index to a versioned line format, written alongside the
-    /// `xmerge` summary index so later runs reload the call graph without
-    /// re-scanning any IR.
-    pub fn serialize(&self) -> String {
-        let mut out = String::new();
-        out.push_str("callgraph v1\n");
-        for m in &self.modules {
-            out.push_str(&format!("module {} hash={:x}\n", m.module, m.content_hash));
-            for f in &m.functions {
-                match f.linkage {
-                    Linkage::External => out.push_str(&format!("fn {}\n", f.name)),
-                    Linkage::Internal => out.push_str(&format!("fn {} internal\n", f.name)),
-                }
-                for (callee, count) in &f.callees {
-                    out.push_str(&format!("call {callee} x{count}\n"));
-                }
-            }
-        }
-        out
-    }
-
-    /// Parses an index serialized by [`CorpusCallIndex::serialize`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line.
-    pub fn deserialize(text: &str) -> Result<CorpusCallIndex, String> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or("empty call-graph file")?;
-        if header.trim() != "callgraph v1" {
-            return Err(format!("bad header: {header:?}"));
-        }
-        let mut index = CorpusCallIndex::default();
-        for (lineno, line) in lines {
-            let bad = |what: &str| format!("line {}: {what}: {line:?}", lineno + 1);
-            if line.trim().is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("module ") {
-                // The serializer always appends ` hash=<hex>` last, so the
-                // rightmost occurrence is the real one even for pathological
-                // module names; junk after it is corruption, not a name.
-                let (name, hash) = match rest.rsplit_once(" hash=") {
-                    Some((head, hex)) => match u64::from_str_radix(hex, 16) {
-                        Ok(h) => (head, h),
-                        Err(_) => return Err(bad("bad module hash")),
-                    },
-                    None => (rest, 0),
-                };
-                index.modules.push(ModuleCalls {
-                    module: name.trim().to_string(),
-                    content_hash: hash,
-                    functions: Vec::new(),
-                });
-            } else if let Some(rest) = line.strip_prefix("fn ") {
-                let module = index
-                    .modules
-                    .last_mut()
-                    .ok_or_else(|| bad("fn before any module"))?;
-                let (name, linkage) = match rest.strip_suffix(" internal") {
-                    Some(head) => (head, Linkage::Internal),
-                    None => (rest, Linkage::External),
-                };
-                module.functions.push(FunctionCalls {
-                    name: name.trim().to_string(),
-                    linkage,
-                    callees: Vec::new(),
-                });
-            } else if let Some(rest) = line.strip_prefix("call ") {
-                let function = index
-                    .modules
-                    .last_mut()
-                    .and_then(|m| m.functions.last_mut())
-                    .ok_or_else(|| bad("call before any fn"))?;
-                let (callee, count) = rest
-                    .rsplit_once(" x")
-                    .ok_or_else(|| bad("call without ' x<count>'"))?;
-                let count: u32 = count.parse().map_err(|_| bad("bad call count"))?;
-                function.callees.push((callee.trim().to_string(), count));
-            } else {
-                return Err(bad("unrecognized line"));
-            }
-        }
-        Ok(index)
-    }
 }
 
 #[cfg(test)]
@@ -253,43 +167,6 @@ mod tests {
         let main_a = &index.modules[0].functions[0];
         assert_eq!(main_a.callees, vec![("shared".to_string(), 2)]);
         assert_eq!(index.modules[0].functions[1].linkage, Linkage::Internal);
-    }
-
-    #[test]
-    fn serialization_round_trips() {
-        let index = CorpusCallIndex::build(&corpus());
-        let text = index.serialize();
-        let reloaded = CorpusCallIndex::deserialize(&text).unwrap();
-        assert_eq!(index, reloaded);
-        assert_eq!(reloaded.serialize(), text);
-    }
-
-    #[test]
-    fn deserialize_rejects_malformed_input() {
-        assert!(CorpusCallIndex::deserialize("").is_err());
-        assert!(CorpusCallIndex::deserialize("bogus\n").is_err());
-        let orphan_fn = "callgraph v1\nfn f\n";
-        assert!(CorpusCallIndex::deserialize(orphan_fn)
-            .unwrap_err()
-            .contains("fn before any module"));
-        let orphan_call = "callgraph v1\nmodule m hash=0\ncall f x1\n";
-        assert!(CorpusCallIndex::deserialize(orphan_call)
-            .unwrap_err()
-            .contains("call before any fn"));
-        let bad_count = "callgraph v1\nmodule m hash=0\nfn f\ncall g xNaN\n";
-        assert!(CorpusCallIndex::deserialize(bad_count).is_err());
-        // A corrupted module hash is an error, not a silently mangled name
-        // (which would defeat reuse without the CLI's unreadable-file
-        // warning ever firing).
-        let bad_hash = "callgraph v1\nmodule m hash=12g4\nfn f\n";
-        assert!(CorpusCallIndex::deserialize(bad_hash)
-            .unwrap_err()
-            .contains("bad module hash"));
-        // A hash-less module line still parses (hash 0 = never reused).
-        let no_hash = "callgraph v1\nmodule plain\nfn f\n";
-        let parsed = CorpusCallIndex::deserialize(no_hash).unwrap();
-        assert_eq!(parsed.modules[0].module, "plain");
-        assert_eq!(parsed.modules[0].content_hash, 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! *where* a merged body lives decides how many call sites become
 //! cross-module thunk hops. This crate supplies the missing analysis layer:
 //!
-//! * [`index`] — a serializable, incrementally rebuildable **call-site
+//! * [`index`] — an incrementally rebuildable, in-memory **call-site
 //!   index**: per-module summaries of every defined function's static call
 //!   sites, keyed by [`ssa_ir::Module::content_hash`] exactly like the
 //!   `xmerge` summary index, so fixpoint rounds only re-scan modules a commit

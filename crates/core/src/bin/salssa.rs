@@ -5,14 +5,12 @@
 //! - `merge <input.ll>` — whole-module merging of one module (the default
 //!   when the first argument is a file): parse → merge-module (SalSSA,
 //!   parallel candidate scoring by default) → verify → report.
-//! - `index <dir>` — build the cross-module summary index of a corpus of
-//!   `.ll` files (MinHash + opcode fingerprints; `--out` serializes it).
 //! - `xmerge <dir>` — cross-module merging over a corpus: sharded candidate
 //!   discovery over the index, speculative parallel scoring, profit-ordered
 //!   commits with donor-side thunks (`--out-dir` writes merged modules;
 //!   `--host-policy callgraph` places merged bodies by call-graph locality).
 //! - `callgraph <dir>` — build and summarize the whole-program call graph
-//!   (direct-call edges, SCCs, locality, regions; `--out` serializes it).
+//!   (direct-call edges, SCCs, locality, regions).
 //! - `report <dir|files...>` — per-module merge statistics, `--json` for the
 //!   machine-readable schema.
 //! - `lint <dir|files...>` — static analysis without merging: verifier wrap,
@@ -60,9 +58,9 @@ use ssa_ir::{parse_module, print_module, Module};
 use ssa_passes::codesize::Target;
 use ssa_passes::module_size_bytes;
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use xmerge::{corpus_report_json, merge_report_json, CorpusIndex, HostPolicy, XMergeConfig};
+use xmerge::{corpus_report_json, merge_report_json, HostPolicy, XMergeConfig};
 
 const USAGE: &str = "\
 usage: salssa [command] [options] <inputs>
@@ -73,7 +71,6 @@ PLDI 2020), intra-module and across a multi-module corpus.
 commands:
   merge <input.ll>       merge similar functions within one module (default
                          when the first argument is a file)
-  index <dir>            build the cross-module summary index of a corpus
   xmerge <dir>           cross-module merging over all .ll files in <dir>
   callgraph <dir>        build and summarize the whole-program call graph
   report <dir|files...>  run per-module merging and report statistics
@@ -101,7 +98,8 @@ options:
       --oracle-fuel <N>  cap each semantic-oracle execution at N interpreter
                          steps: a run that exhausts the budget becomes a
                          rejected(oracle_timeout) decision instead of a
-                         verdict (default: the interpreter's own step limit)
+                         verdict (default 1000000, the interpreter's own
+                         step limit)
       --no-recovery      strict frontend: any parse error fails the whole
                          module instead of skipping the broken function
       --deny-recovery    keep the error-recovering frontend on but exit
@@ -110,10 +108,6 @@ options:
                          the candidate pool, interleaved with per-module intra
                          merging — until a round commits nothing
       --max-rounds <N>   xmerge: fixpoint round cap (default 4)
-      --index <file>     xmerge: reuse a serialized index — modules whose
-                         content hash is unchanged skip re-summarization; the
-                         refreshed index is written back afterwards, and the
-                         call graph is persisted alongside it (<file>.calls)
       --host-policy <p>  xmerge: how merged bodies are placed — 'size' (the
                          larger function hosts, default) or 'callgraph' (the
                          less-coupled member donates, minimizing call edges
@@ -149,7 +143,6 @@ options:
       --seed <N>         fuzz: base seed for corpus generation and mutation
                          (default 0; every failure reproduces from its seed)
       --json             emit machine-readable JSON instead of the report
-      --out <file>       index: write the serialized index here ('-' = stdout)
       --out-dir <dir>    xmerge: write the merged modules here
       --print-module     print the merged module IR after the report
   -h, --help             show this help
@@ -158,7 +151,6 @@ options:
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Command {
     Merge,
-    Index,
     XMerge,
     CallGraph,
     Report,
@@ -176,11 +168,9 @@ struct Cli {
     threshold_set: bool,
     print_module: bool,
     json: bool,
-    out: Option<String>,
     out_dir: Option<String>,
     fixpoint: bool,
     max_rounds: usize,
-    index: Option<String>,
     host_policy: HostPolicy,
     deny: Vec<String>,
     only: Vec<String>,
@@ -201,11 +191,9 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut threshold_set = false;
     let mut print_module = false;
     let mut json = false;
-    let mut out: Option<String> = None;
     let mut out_dir: Option<String> = None;
     let mut fixpoint = false;
     let mut max_rounds = 4usize;
-    let mut index: Option<String> = None;
     let mut host_policy = HostPolicy::default();
     let mut deny: Vec<String> = Vec::new();
     let mut only: Vec<String> = Vec::new();
@@ -262,7 +250,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     .parse()
                     .map_err(|e| format!("bad {arg}: {e}"))?;
             }
-            "--index" => index = Some(value_for(arg)?),
             "--host-policy" => host_policy = value_for(arg)?.parse()?,
             "--paranoid" => config.paranoid = true,
             "--deny" => deny.push(value_for(arg)?),
@@ -288,17 +275,15 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--decisions-out" => decisions_out = Some(value_for(arg)?),
             "--profile" => profile = true,
             "--json" => json = true,
-            "--out" => out = Some(value_for(arg)?),
             "--out-dir" => out_dir = Some(value_for(arg)?),
             "--print-module" => print_module = true,
             "-h" | "--help" => return Err(String::new()),
-            "merge" | "index" | "xmerge" | "callgraph" | "report" | "lint" | "explain"
-            | "profile" | "fuzz"
+            "merge" | "xmerge" | "callgraph" | "report" | "lint" | "explain" | "profile"
+            | "fuzz"
                 if command.is_none() && inputs.is_empty() =>
             {
                 command = Some(match arg.as_str() {
                     "merge" => Command::Merge,
-                    "index" => Command::Index,
                     "xmerge" => Command::XMerge,
                     "callgraph" => Command::CallGraph,
                     "lint" => Command::Lint,
@@ -343,11 +328,9 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         threshold_set,
         print_module,
         json,
-        out,
         out_dir,
         fixpoint,
         max_rounds,
-        index,
         host_policy,
         deny,
         only,
@@ -397,31 +380,39 @@ fn deny_recovery_gate(cli: &Cli, stats: &RecoveryStats) -> Option<ExitCode> {
     None
 }
 
-/// Loads every parseable `.ll` module of a directory (sorted by file name for
-/// determinism; module names are the file stems) or the single file at
-/// `path`. Unparseable files are reported to stderr and skipped — a corpus
-/// with zero parseable modules is an empty result, not an error.
+/// The `.ll` files one input names: the file itself, or the `.ll` files of a
+/// directory sorted by name for determinism.
+fn input_files(input: &str) -> Result<Vec<PathBuf>, String> {
+    let p = Path::new(input);
+    if p.is_file() {
+        return Ok(vec![p.to_path_buf()]);
+    }
+    if !p.is_dir() {
+        return Err(format!("{input}: no such file or directory"));
+    }
+    let mut files: Vec<PathBuf> = std::fs::read_dir(p)
+        .map_err(|e| format!("{input}: {e}"))?
+        .filter_map(|entry| entry.ok().map(|e| e.path()))
+        .filter(|f| f.extension().is_some_and(|ext| ext == "ll"))
+        .collect();
+    files.sort();
+    Ok(files)
+}
+
+/// Loads every parseable `.ll` module of a directory (see [`input_files`];
+/// module names are the file stems) or the single file at `path`.
+/// Unparseable files in a directory are reported to stderr and skipped — a
+/// corpus with zero parseable modules is an empty result, not an error.
 fn load_corpus(
     path: &str,
     recovery: bool,
     stats: &mut RecoveryStats,
 ) -> Result<Vec<Module>, String> {
-    let p = Path::new(path);
-    if p.is_file() {
-        let module = load_module(path, recovery, stats)?;
-        return Ok(vec![module]);
+    if Path::new(path).is_file() {
+        return Ok(vec![load_module(path, recovery, stats)?]);
     }
-    if !p.is_dir() {
-        return Err(format!("{path}: no such file or directory"));
-    }
-    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(p)
-        .map_err(|e| format!("{path}: {e}"))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|f| f.extension().is_some_and(|ext| ext == "ll"))
-        .collect();
-    files.sort();
     let mut modules = Vec::new();
-    for file in files {
+    for file in input_files(path)? {
         match load_module(&file.to_string_lossy(), recovery, stats) {
             Ok(module) => modules.push(module),
             Err(e) => eprintln!("warning: skipping {e}"),
@@ -514,7 +505,6 @@ fn main() -> ExitCode {
     }
     let code = match cli.command {
         Command::Merge => run_merge(&cli),
-        Command::Index => run_index(&cli),
         Command::XMerge => run_xmerge(&cli),
         Command::CallGraph => run_callgraph(&cli),
         Command::Report => run_report(&cli),
@@ -618,50 +608,6 @@ fn run_merge(cli: &Cli) -> ExitCode {
     })
 }
 
-fn run_index(cli: &Cli) -> ExitCode {
-    let input = &cli.inputs[0];
-    let modules = match load_corpus(input, cli.recovery, &mut RecoveryStats::default()) {
-        Ok(modules) => modules,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if modules.is_empty() {
-        return emit(|out| writeln!(out, "{input}: 0 modules (0 functions); nothing to index"));
-    }
-    let index = CorpusIndex::build(&modules, fm_align_default_hashes());
-    if let Some(out_path) = &cli.out {
-        let serialized = index.serialize();
-        if out_path == "-" {
-            return emit(|out| out.write_all(serialized.as_bytes()));
-        }
-        if let Err(e) = std::fs::write(out_path, serialized) {
-            eprintln!("error: cannot write {out_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    emit(|out| {
-        writeln!(
-            out,
-            "{input}: indexed {} modules, {} functions ({} signature components each)",
-            index.num_modules(),
-            index.num_functions(),
-            index.num_hashes
-        )?;
-        if let Some(out_path) = &cli.out {
-            if out_path != "-" {
-                writeln!(out, "index written to {out_path}")?;
-            }
-        }
-        Ok(())
-    })
-}
-
-fn fm_align_default_hashes() -> usize {
-    fm_align::MinHash::DEFAULT_HASHES
-}
-
 /// The cross-module pipeline configuration a `Cli` asks for — shared by
 /// `xmerge` and `explain` so an explanation replays the run's exact knobs.
 fn xmerge_config(cli: &Cli) -> XMergeConfig {
@@ -705,57 +651,7 @@ fn run_xmerge(cli: &Cli) -> ExitCode {
         return emit(|out| writeln!(out, "{input}: 0 modules (0 functions); nothing to merge"));
     }
     let config = xmerge_config(cli);
-    // Persistent index reuse: load a previously serialized index (plus the
-    // call graph stored alongside it) and skip re-summarizing/re-scanning
-    // modules whose content hash is unchanged; the refreshed files are
-    // written back for the next run.
-    let load = |path: &str, what: &str| match std::fs::read_to_string(path) {
-        Ok(text) => Some(text),
-        // First run: the file does not exist yet.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => {
-            eprintln!("warning: cannot read {what} {path} ({e}); rebuilding from scratch");
-            None
-        }
-    };
-    let prior_index = cli.index.as_ref().and_then(|path| {
-        let text = load(path, "index")?;
-        match CorpusIndex::deserialize(&text) {
-            Ok(index) => Some(index),
-            Err(e) => {
-                eprintln!("warning: ignoring unreadable index {path}: {e}");
-                None
-            }
-        }
-    });
-    let calls_path = cli.index.as_ref().map(|path| format!("{path}.calls"));
-    let prior_calls = calls_path.as_ref().and_then(|path| {
-        let text = load(path, "call graph")?;
-        match CorpusCallIndex::deserialize(&text) {
-            Ok(calls) => Some(calls),
-            Err(e) => {
-                eprintln!("warning: ignoring unreadable call graph {path}: {e}");
-                None
-            }
-        }
-    });
-    let mut report;
-    if let Some(index_path) = &cli.index {
-        let (r, refreshed, refreshed_calls) =
-            xmerge::xmerge_corpus_with_index(&mut modules, &config, prior_index, prior_calls);
-        report = r;
-        if let Err(e) = std::fs::write(index_path, refreshed.serialize()) {
-            eprintln!("error: cannot write index {index_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        let calls_path = calls_path.expect("calls path derives from the index path");
-        if let Err(e) = std::fs::write(&calls_path, refreshed_calls.serialize()) {
-            eprintln!("error: cannot write call graph {calls_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    } else {
-        report = xmerge::xmerge_corpus(&mut modules, &config);
-    }
+    let mut report = xmerge::xmerge_corpus(&mut modules, &config);
     report.functions_skipped = recovery.functions_skipped;
     report.modules_recovered = recovery.modules_recovered;
 
@@ -847,16 +743,6 @@ fn run_callgraph(cli: &Cli) -> ExitCode {
     }
     let index = CorpusCallIndex::build(&modules);
     let graph = CallGraph::resolve(&index);
-    if let Some(out_path) = &cli.out {
-        let serialized = index.serialize();
-        if out_path == "-" {
-            return emit(|out| out.write_all(serialized.as_bytes()));
-        }
-        if let Err(e) = std::fs::write(out_path, serialized) {
-            eprintln!("error: cannot write {out_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
     let condensation = graph.condensation();
     let recursive_components = condensation
         .components
@@ -906,32 +792,8 @@ fn run_callgraph(cli: &Cli) -> ExitCode {
                 regions.len()
             )?;
         }
-        if let Some(out_path) = &cli.out {
-            if out_path != "-" && !cli.json {
-                writeln!(out, "call graph written to {out_path}")?;
-            }
-        }
         Ok(())
     })
-}
-
-/// Enumerates the `.ll` files named by one lint input (a file or a
-/// directory, sorted for determinism).
-fn lint_files(input: &str) -> Result<Vec<std::path::PathBuf>, String> {
-    let p = Path::new(input);
-    if p.is_file() {
-        return Ok(vec![p.to_path_buf()]);
-    }
-    if !p.is_dir() {
-        return Err(format!("{input}: no such file or directory"));
-    }
-    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(p)
-        .map_err(|e| format!("{input}: {e}"))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|f| f.extension().is_some_and(|ext| ext == "ll"))
-        .collect();
-    files.sort();
-    Ok(files)
 }
 
 fn run_lint(cli: &Cli) -> ExitCode {
@@ -963,7 +825,7 @@ fn run_lint(cli: &Cli) -> ExitCode {
     let mut diagnostics: Vec<analysis::Diagnostic> = Vec::new();
     let mut modules: Vec<Module> = Vec::new();
     for input in &cli.inputs {
-        let files = match lint_files(input) {
+        let files = match input_files(input) {
             Ok(files) => files,
             Err(e) => {
                 eprintln!("error: {e}");

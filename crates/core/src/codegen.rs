@@ -114,13 +114,17 @@ pub const FID: Value = Value::Arg(0);
 
 /// Generates the merged function from an alignment of `f1` and `f2`.
 ///
+/// Operand reordering (Figure 9) and the xor-branch trick (Figure 11) always
+/// apply, so code generation reads none of the `_options`; the parameter
+/// keeps the call shape the merge pipeline and `mergebench` share.
+///
 /// Returns `None` when the signatures cannot be merged (different non-void
 /// return types).
 pub fn generate(
     f1: &Function,
     f2: &Function,
     alignment: &Alignment,
-    options: &MergeOptions,
+    _options: &MergeOptions,
     merged_name: &str,
 ) -> Option<(Function, CodegenMaps)> {
     if f1.ret_ty != f2.ret_ty {
@@ -235,8 +239,8 @@ pub fn generate(
     merged.set_entry(entry);
 
     // ----- Operand assignment ----------------------------------------------
-    assign_operands(f1, f2, &mut merged, &mut maps, options);
-    assign_labels(f1, f2, &mut merged, &mut maps, options);
+    assign_operands(f1, f2, &mut merged, &mut maps);
+    assign_labels(f1, f2, &mut merged, &mut maps);
     assign_phi_incomings(f1, f2, &mut merged, &mut maps);
 
     Some((merged, maps))
@@ -427,13 +431,7 @@ fn append_dispatch(
 /// Resolves every value operand of every generated instruction, inserting
 /// `select %fid` instructions (and applying operand reordering) where the two
 /// functions disagree.
-fn assign_operands(
-    f1: &Function,
-    f2: &Function,
-    merged: &mut Function,
-    maps: &mut CodegenMaps,
-    options: &MergeOptions,
-) {
+fn assign_operands(f1: &Function, f2: &Function, merged: &mut Function, maps: &mut CodegenMaps) {
     // Sort into arena (emission) order: HashMap iteration order varies per
     // instance, and the mutations below (select/lsel insertion) must happen
     // in a deterministic order for merge output to be reproducible.
@@ -460,8 +458,7 @@ fn assign_operands(
                     .iter()
                     .map(|v| maps.map_value(Side::F2, *v))
                     .collect();
-                let merged_ops =
-                    resolve_operand_pairs(f1, i1, ops1, ops2, merged, inst, maps, options);
+                let merged_ops = resolve_operand_pairs(f1, i1, ops1, ops2, merged, inst, maps);
                 write_operands(merged, inst, &merged_ops);
             }
             (Some(i1), None) => {
@@ -491,7 +488,6 @@ fn assign_operands(
 
 /// Decides the merged operand list for a pair of matched instructions,
 /// inserting selects for operands that still differ.
-#[allow(clippy::too_many_arguments)]
 fn resolve_operand_pairs(
     f1: &Function,
     i1: InstId,
@@ -500,11 +496,10 @@ fn resolve_operand_pairs(
     merged: &mut Function,
     user: InstId,
     maps: &mut CodegenMaps,
-    options: &MergeOptions,
 ) -> Vec<Value> {
     // Operand reordering for commutative binary operations (Figure 9): swap
     // one side when it strictly increases the number of equal operand pairs.
-    if options.operand_reordering && ops1.len() == 2 && ops2.len() == 2 {
+    if ops1.len() == 2 && ops2.len() == 2 {
         if let InstKind::Binary { op, .. } = &f1.inst(i1).kind {
             if op.is_commutative() {
                 let direct = usize::from(ops1[0] == ops2[0]) + usize::from(ops1[1] == ops2[1]);
@@ -564,13 +559,7 @@ fn write_operands(merged: &mut Function, inst: InstId, operands: &[Value]) {
 /// Resolves the label operands of every generated terminator, creating
 /// label-selection blocks, applying the xor-branch optimization and inserting
 /// landing blocks for invokes.
-fn assign_labels(
-    f1: &Function,
-    f2: &Function,
-    merged: &mut Function,
-    maps: &mut CodegenMaps,
-    options: &MergeOptions,
-) {
+fn assign_labels(f1: &Function, f2: &Function, merged: &mut Function, maps: &mut CodegenMaps) {
     // Sort into arena (emission) order: HashMap iteration order varies per
     // instance, and the mutations below (select/lsel insertion) must happen
     // in a deterministic order for merge output to be reproducible.
@@ -604,12 +593,7 @@ fn assign_labels(
                 // xor-branch optimization: conditional branches with swapped
                 // targets need one xor instead of two label selections.
                 let is_condbr = matches!(merged.inst(inst).kind, InstKind::CondBr { .. });
-                if options.xor_branch
-                    && is_condbr
-                    && l1.len() == 2
-                    && l1[0] == l2[1]
-                    && l1[1] == l2[0]
-                    && l1[0] != l1[1]
+                if is_condbr && l1.len() == 2 && l1[0] == l2[1] && l1[1] == l2[0] && l1[0] != l1[1]
                 {
                     let block = merged.inst(inst).block;
                     let cond = match merged.inst(inst).kind {
@@ -964,15 +948,16 @@ L4:
             maps.selects_inserted, 0,
             "reordering should avoid the select"
         );
-        // With reordering disabled the selects appear.
-        let s1 = linearize(&a);
-        let s2 = linearize(&b);
-        let alignment = align(&a, &s1, &b, &s2);
-        let opts = MergeOptions {
-            operand_reordering: false,
-            ..MergeOptions::default()
-        };
-        let (_, maps2) = generate(&a, &b, &alignment, &opts, "m").unwrap();
+        // The non-commutative twin cannot be reordered: a select appears.
+        let c = parse_function(
+            "define i32 @c(i32 %x, i32 %y) {\nentry:\n  %r = sub i32 %x, %y\n  ret i32 %r\n}",
+        )
+        .unwrap();
+        let d = parse_function(
+            "define i32 @d(i32 %x, i32 %y) {\nentry:\n  %r = sub i32 %y, %x\n  ret i32 %r\n}",
+        )
+        .unwrap();
+        let (_, maps2) = merge_raw(&c, &d);
         assert!(maps2.selects_inserted >= 1);
     }
 }

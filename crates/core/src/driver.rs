@@ -119,11 +119,10 @@ pub struct DriverConfig {
     /// the committed [`MergeRecord`]s are identical with the filter on or
     /// off; only the scoring cost changes.
     pub prefilter: bool,
-    /// Per-execution step budget for the semantic oracle. `None` (the
-    /// default) keeps the interpreter's own limit with legacy semantics; an
-    /// explicit budget bounds worst-case oracle latency per candidate, and a
-    /// run that exhausts it degrades the commit to a counted
-    /// `rejected(oracle_timeout)` instead of a verdict.
+    /// Per-execution step budget for the semantic oracle; `None` (the
+    /// default) is the interpreter's own limit. The budget bounds worst-case
+    /// oracle latency per candidate, and a run that exhausts it degrades the
+    /// commit to a counted `rejected(oracle_timeout)` instead of a verdict.
     pub oracle_fuel: Option<u64>,
 }
 

@@ -11,18 +11,15 @@ pub const DEFAULT_BAND_SLACK: u32 = 8;
 /// Options controlling the merge code generator and its optimizations.
 ///
 /// The defaults correspond to the full SalSSA configuration evaluated in the
-/// paper; individual optimizations can be disabled for the ablation studies
-/// (Figure 20 disables phi-node coalescing, for example).
+/// paper. Operand reordering for commutative instructions (Figure 9) and the
+/// xor trick for conditional branches with swapped targets (Figure 11) are
+/// always on; phi-node coalescing can be disabled for the Figure 20
+/// ablation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MergeOptions {
     /// Enable phi-node coalescing (Section 4.4). Disabling this yields the
     /// "SalSSA-NoPC" configuration of Figure 20.
     pub phi_coalescing: bool,
-    /// Enable operand reordering for commutative instructions (Figure 9).
-    pub operand_reordering: bool,
-    /// Enable the xor trick for conditional branches with swapped targets
-    /// (Figure 11).
-    pub xor_branch: bool,
     /// Code-size target used by the profitability cost model.
     pub target: Target,
     /// Banded-alignment slack. `Some(w)` lets the aligner try a diagonal
@@ -36,8 +33,6 @@ impl Default for MergeOptions {
     fn default() -> Self {
         MergeOptions {
             phi_coalescing: true,
-            operand_reordering: true,
-            xor_branch: true,
             target: Target::X86Like,
             band: Some(DEFAULT_BAND_SLACK),
         }
@@ -69,7 +64,7 @@ mod tests {
     #[test]
     fn defaults_enable_all_optimizations() {
         let o = MergeOptions::default();
-        assert!(o.phi_coalescing && o.operand_reordering && o.xor_branch);
+        assert!(o.phi_coalescing);
         assert_eq!(o.target, Target::X86Like);
     }
 

@@ -649,10 +649,10 @@ fn run_with_fuel(
     interp.run(function_name, args)
 }
 
-/// [`check_equivalent`] under an explicit step budget. With `fuel: None` the
-/// default interpreter limit applies and a double step-limit hit still counts
-/// as equivalent (legacy behavior); with an explicit budget, hitting it on
-/// either side is a [`OracleFailure::Timeout`] — no verdict, not a pass.
+/// [`check_equivalent`] under a step budget: `fuel`, or the interpreter's
+/// default [`Interpreter::step_limit`] when `None`. Hitting the budget on
+/// either side is an [`OracleFailure::Timeout`] — no verdict, neither a pass
+/// nor a mismatch.
 pub fn check_equivalent_with_fuel(
     module_a: &Module,
     name_a: &str,
@@ -664,9 +664,7 @@ pub fn check_equivalent_with_fuel(
 ) -> Result<(), OracleFailure> {
     let ra = run_with_fuel(module_a, name_a, args_a, fuel);
     let rb = run_with_fuel(module_b, name_b, args_b, fuel);
-    if fuel.is_some()
-        && (matches!(ra, Err(InterpError::StepLimit)) || matches!(rb, Err(InterpError::StepLimit)))
-    {
+    if matches!(ra, Err(InterpError::StepLimit)) || matches!(rb, Err(InterpError::StepLimit)) {
         return Err(OracleFailure::Timeout);
     }
     compare_outcomes(name_a, ra, name_b, rb).map_err(OracleFailure::Mismatch)
@@ -728,10 +726,11 @@ pub fn differential_check(
         .map_err(|failure| failure.to_string())
 }
 
-/// [`differential_check`] under an explicit per-execution step budget: any
-/// sampled run that exhausts `fuel` steps yields [`OracleFailure::Timeout`]
-/// instead of a verdict, bounding worst-case oracle latency per candidate.
-/// `fuel: None` reproduces [`differential_check`] exactly.
+/// [`differential_check`] under a per-execution step budget: any sampled run
+/// that exhausts `fuel` steps (the interpreter's default limit when `None`)
+/// yields [`OracleFailure::Timeout`] instead of a verdict, bounding
+/// worst-case oracle latency per candidate. `fuel: None` is what
+/// [`differential_check`] runs.
 ///
 /// # Errors
 ///
@@ -935,22 +934,36 @@ entry:
 
     #[test]
     fn fuel_budget_times_out_instead_of_passing() {
-        // Both sides loop forever: under the default limit the double
-        // step-limit hit counts as equivalent, under an explicit fuel budget
-        // it is a timeout, not a verdict.
+        // Both sides loop forever: under the default limit and under an
+        // explicit fuel budget alike it is a timeout, not a verdict.
         let text =
             "define i32 @f(i32 %x) {\nentry:\n  br label %again\nagain:\n  br label %again\n}";
         let m = module(text);
-        assert!(differential_check(&m, &m, "f", 2, 7).is_ok());
+        assert_eq!(
+            differential_check_with_fuel(&m, &m, "f", 2, 7, None),
+            Err(OracleFailure::Timeout)
+        );
         assert_eq!(
             differential_check_with_fuel(&m, &m, "f", 2, 7, Some(64)),
             Err(OracleFailure::Timeout)
         );
-        // A terminating function passes under a generous budget and the
-        // fuel-less path stays bit-identical to the legacy entry point.
+        assert_eq!(
+            differential_check(&m, &m, "f", 2, 7),
+            Err(OracleFailure::Timeout.to_string())
+        );
+        // A terminating function passes under a generous budget and under
+        // the default limit.
         let t = module("define i32 @f(i32 %x) {\nentry:\n  %r = add i32 %x, 1\n  ret i32 %r\n}");
         assert!(differential_check_with_fuel(&t, &t, "f", 2, 7, Some(1000)).is_ok());
         assert!(differential_check_with_fuel(&t, &t, "f", 2, 7, None).is_ok());
+        // One side terminates, the other loops: no verdict either, so the
+        // drivers count a timeout rather than a semantic rejection.
+        for fuel in [None, Some(64)] {
+            assert_eq!(
+                differential_check_with_fuel(&t, &m, "f", 2, 7, fuel),
+                Err(OracleFailure::Timeout)
+            );
+        }
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //! built per module ([`ModuleIndex`]) — cheap, parallel, no cross-module state
 //! — and merged into a [`CorpusIndex`] that spans the whole program, the
 //! ThinLTO-style split between per-TU summarization and whole-program
-//! decisions.
-//!
-//! The index serializes to a line-based text format
-//! ([`CorpusIndex::serialize`] / [`CorpusIndex::deserialize`]) so it can be
-//! written next to a corpus and reloaded without reparsing any IR.
+//! decisions. The index lives in memory only: between fixpoint rounds
+//! [`CorpusIndex::build_incremental`] reuses the summaries of every module
+//! whose content hash is unchanged.
 
 use fm_align::{Fingerprint, MinHash};
 use rayon::prelude::*;
@@ -66,8 +64,7 @@ pub struct ModuleIndex {
     pub module: String,
     /// Content hash of the module the summaries were computed from
     /// ([`Module::content_hash`]); the incremental rebuild skips modules
-    /// whose hash is unchanged. Zero for indices deserialized from the
-    /// legacy v1 format (which never matches, forcing a re-summarize).
+    /// whose hash is unchanged. Zero never matches, forcing a re-summarize.
     pub content_hash: u64,
     /// One summary per defined function, in module order.
     pub entries: Vec<FunctionSummary>,
@@ -199,133 +196,6 @@ impl CorpusIndex {
     pub fn num_functions(&self) -> usize {
         self.entries.len()
     }
-
-    /// Serializes the index to the versioned line format (v2: module lines
-    /// carry the content hash enabling incremental reloads; the v1 format
-    /// without hashes deserializes fine). Entries are grouped by module in
-    /// insertion order (the invariant [`CorpusIndex::add`] maintains), so
-    /// serialization is a single linear pass.
-    pub fn serialize(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("xmerge-index v2 hashes={}\n", self.num_hashes));
-        let mut cursor = 0usize;
-        for (module, hash) in self.modules.iter().zip(&self.module_hashes) {
-            out.push_str(&format!("module {module} hash={hash:x}\n"));
-            while let Some(e) = self.entries.get(cursor).filter(|e| &e.module == module) {
-                let counts: Vec<String> = e.opcode_counts.iter().map(u32::to_string).collect();
-                let sig: Vec<String> = e.minhash.sig.iter().map(|h| format!("{h:x}")).collect();
-                out.push_str(&format!(
-                    "fn {} insts={} seq={} counts={} minhash={}\n",
-                    e.name,
-                    e.num_insts,
-                    e.seq_len,
-                    counts.join(","),
-                    sig.join(",")
-                ));
-                cursor += 1;
-            }
-        }
-        debug_assert_eq!(cursor, self.entries.len(), "entries not grouped by module");
-        out
-    }
-
-    /// Parses an index serialized by [`CorpusIndex::serialize`] — the current
-    /// v2 format or the legacy v1 format (no content hashes; every module
-    /// hash reads as 0, so an incremental rebuild re-summarizes everything).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed line.
-    pub fn deserialize(text: &str) -> Result<CorpusIndex, String> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or("empty index file")?;
-        let num_hashes = header
-            .strip_prefix("xmerge-index v2 hashes=")
-            .or_else(|| header.strip_prefix("xmerge-index v1 hashes="))
-            .and_then(|h| h.parse::<usize>().ok())
-            .ok_or_else(|| format!("bad header: {header:?}"))?;
-        let mut index = CorpusIndex::new(num_hashes);
-        let mut current: Option<String> = None;
-        for (lineno, line) in lines {
-            let bad = |what: &str| format!("line {}: {what}: {line:?}", lineno + 1);
-            if line.trim().is_empty() {
-                continue;
-            }
-            if let Some(name) = line.strip_prefix("module ") {
-                // v2 appends ` hash=<hex>`; a name that happens to end in a
-                // non-hex `hash=` suffix is kept whole.
-                let (name, hash) = match name.rsplit_once(" hash=") {
-                    Some((head, hex)) => match u64::from_str_radix(hex, 16) {
-                        Ok(h) => (head, h),
-                        Err(_) => (name, 0),
-                    },
-                    None => (name, 0),
-                };
-                index.modules.push(name.trim().to_string());
-                index.module_hashes.push(hash);
-                current = Some(name.trim().to_string());
-            } else if let Some(rest) = line.strip_prefix("fn ") {
-                let module = current.clone().ok_or_else(|| bad("fn before any module"))?;
-                let mut fields = rest.split_whitespace();
-                let name = fields
-                    .next()
-                    .ok_or_else(|| bad("missing name"))?
-                    .to_string();
-                let mut num_insts = None;
-                let mut seq_len = None;
-                let mut counts = None;
-                let mut sig = None;
-                for field in fields {
-                    let (key, value) = field
-                        .split_once('=')
-                        .ok_or_else(|| bad("field without '='"))?;
-                    match key {
-                        "insts" => num_insts = value.parse::<usize>().ok(),
-                        "seq" => seq_len = value.parse::<usize>().ok(),
-                        "counts" => {
-                            counts = value
-                                .split(',')
-                                .map(|c| c.parse::<u32>().ok())
-                                .collect::<Option<Vec<u32>>>();
-                        }
-                        "minhash" => {
-                            sig = value
-                                .split(',')
-                                .map(|h| u64::from_str_radix(h, 16).ok())
-                                .collect::<Option<Vec<u64>>>();
-                        }
-                        other => return Err(bad(&format!("unknown field '{other}'"))),
-                    }
-                }
-                let opcode_counts = counts.ok_or_else(|| bad("missing/bad counts"))?;
-                if opcode_counts.len() != ssa_ir::InstKind::NUM_OPCODE_CLASSES {
-                    return Err(bad(&format!(
-                        "counts has {} components, expected {}",
-                        opcode_counts.len(),
-                        ssa_ir::InstKind::NUM_OPCODE_CLASSES
-                    )));
-                }
-                let sig = sig.ok_or_else(|| bad("missing/bad minhash"))?;
-                if sig.len() != num_hashes {
-                    return Err(bad(&format!(
-                        "minhash has {} components, header promised {num_hashes}",
-                        sig.len()
-                    )));
-                }
-                index.entries.push(FunctionSummary {
-                    module,
-                    name,
-                    num_insts: num_insts.ok_or_else(|| bad("missing/bad insts"))?,
-                    seq_len: seq_len.ok_or_else(|| bad("missing/bad seq"))?,
-                    opcode_counts,
-                    minhash: MinHash { sig },
-                });
-            } else {
-                return Err(bad("unrecognized line"));
-            }
-        }
-        Ok(index)
-    }
 }
 
 #[cfg(test)]
@@ -428,17 +298,6 @@ entry:
             }
         );
         assert_eq!(updated, CorpusIndex::build(&modules, 16));
-        // Reuse also works through the serialized form (the `--index` path).
-        let reloaded = CorpusIndex::deserialize(&updated.serialize()).unwrap();
-        let (from_disk, reuse) = CorpusIndex::build_incremental(&modules, 16, Some(&reloaded));
-        assert_eq!(
-            reuse,
-            IndexReuse {
-                reused: 2,
-                refreshed: 0
-            }
-        );
-        assert_eq!(from_disk, updated);
         // A different signature width invalidates the whole prior index.
         let (_, reuse) = CorpusIndex::build_incremental(&modules, 8, Some(&updated));
         assert_eq!(
@@ -448,116 +307,16 @@ entry:
                 refreshed: 2
             }
         );
-    }
-
-    #[test]
-    fn legacy_v1_indices_deserialize_without_hashes() {
-        let index = CorpusIndex::build(&corpus(), 16);
-        // Rewrite the serialized form into the v1 format (no module hashes).
-        let v1: String = index
-            .serialize()
-            .lines()
-            .map(|line| {
-                if let Some(rest) = line.strip_prefix("xmerge-index v2 ") {
-                    format!("xmerge-index v1 {rest}\n")
-                } else if line.starts_with("module ") {
-                    match line.rsplit_once(" hash=") {
-                        Some((head, _)) => format!("{head}\n"),
-                        None => format!("{line}\n"),
-                    }
-                } else {
-                    format!("{line}\n")
-                }
-            })
-            .collect();
-        let reloaded = CorpusIndex::deserialize(&v1).unwrap();
-        assert_eq!(reloaded.entries, index.entries);
-        assert_eq!(reloaded.module_hashes, vec![0, 0]);
-        // Zero hashes never match, so everything re-summarizes.
-        let (_, reuse) = CorpusIndex::build_incremental(&corpus(), 16, Some(&reloaded));
+        // An empty module hashes to 0, which never counts as reused.
+        let empty = [Module::new("empty")];
+        let (prior, _) = CorpusIndex::build_incremental(&empty, 16, None);
+        let (_, reuse) = CorpusIndex::build_incremental(&empty, 16, Some(&prior));
         assert_eq!(
             reuse,
             IndexReuse {
                 reused: 0,
-                refreshed: 2
+                refreshed: 1
             }
         );
-    }
-
-    #[test]
-    fn serialization_round_trips() {
-        let index = CorpusIndex::build(&corpus(), MinHash::DEFAULT_HASHES);
-        let text = index.serialize();
-        let reloaded = CorpusIndex::deserialize(&text).unwrap();
-        assert_eq!(index, reloaded);
-        // And the round-trip is a fixpoint.
-        assert_eq!(reloaded.serialize(), text);
-    }
-
-    #[test]
-    fn serialization_round_trips_with_duplicate_module_names() {
-        let modules = corpus();
-        let mut index = CorpusIndex::new(16);
-        // Two different ModuleIndex values sharing one name (allowed by the
-        // public add() API).
-        let mut a = ModuleIndex::build(&modules[0], 16);
-        a.module = "util".to_string();
-        for e in &mut a.entries {
-            e.module = "util".to_string();
-        }
-        let mut b = ModuleIndex::build(&modules[1], 16);
-        b.module = "util".to_string();
-        for e in &mut b.entries {
-            e.module = "util".to_string();
-        }
-        index.add(a);
-        index.add(b);
-        let reloaded = CorpusIndex::deserialize(&index.serialize()).unwrap();
-        assert_eq!(reloaded.num_functions(), index.num_functions());
-        assert_eq!(reloaded.entries, index.entries);
-    }
-
-    #[test]
-    fn deserialize_rejects_malformed_input() {
-        assert!(CorpusIndex::deserialize("").is_err());
-        assert!(CorpusIndex::deserialize("bogus header\n").is_err());
-        let orphan = "xmerge-index v1 hashes=16\nfn f insts=1 seq=1 counts=1 minhash=a\n";
-        assert!(CorpusIndex::deserialize(orphan)
-            .unwrap_err()
-            .contains("fn before any module"));
-        let bad_field =
-            "xmerge-index v1 hashes=16\nmodule m\nfn f insts=x seq=1 counts=1 minhash=a\n";
-        assert!(CorpusIndex::deserialize(bad_field).is_err());
-    }
-
-    #[test]
-    fn deserialize_rejects_truncated_vectors() {
-        // A valid serialized index — then corrupt one vector at a time.
-        let good = CorpusIndex::build(&corpus(), 16).serialize();
-        assert!(CorpusIndex::deserialize(&good).is_ok());
-        let short_minhash = good
-            .lines()
-            .map(|l| match l.find(" minhash=") {
-                Some(pos) => format!("{} minhash=a,b", &l[..pos]),
-                None => l.to_string(),
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let err = CorpusIndex::deserialize(&short_minhash).unwrap_err();
-        assert!(err.contains("header promised"), "{err}");
-        let short_counts = good
-            .lines()
-            .map(|l| match l.find(" counts=") {
-                Some(pos) => {
-                    let tail = &l[pos..];
-                    let minhash = tail.find(" minhash=").map(|p| &tail[p..]).unwrap_or("");
-                    format!("{} counts=1,2{minhash}", &l[..pos])
-                }
-                None => l.to_string(),
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let err = CorpusIndex::deserialize(&short_counts).unwrap_err();
-        assert!(err.contains("counts has 2 components"), "{err}");
     }
 }

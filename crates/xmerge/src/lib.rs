@@ -5,9 +5,9 @@
 //! functions wherever they live across hundreds of translation units. This
 //! crate scales the reproduction to that setting:
 //!
-//! * [`index`] — a serializable **summary index**: per-function
-//!   MinHash/opcode-frequency fingerprints plus size metadata, built per
-//!   module and merged across a corpus without holding any IR;
+//! * [`index`] — the **summary index**: per-function MinHash/opcode-frequency
+//!   fingerprints plus size metadata, built per module and merged across a
+//!   corpus without holding any IR;
 //! * [`discover`](mod@discover) — **sharded candidate discovery**: index
 //!   entries are bucketed by MinHash band (LSH) and shard co-occupants are
 //!   scored in parallel, avoiding the whole-program quadratic pair scan;
@@ -18,8 +18,8 @@
 //!   the donor so every module keeps exporting working symbols;
 //! * [`json`] — machine-readable reports for trajectory tracking.
 //!
-//! The `salssa index <dir>` and `salssa xmerge <dir>` CLI subcommands stream
-//! a directory of `.ll` modules through this crate end to end.
+//! The `salssa xmerge <dir>` CLI subcommand streams a directory of `.ll`
+//! modules through this crate end to end.
 //!
 //! ## Example
 //!
@@ -52,8 +52,8 @@ pub use explain::{explain_pair, ExplainStep, Explanation};
 pub use index::{CorpusIndex, FunctionSummary, IndexReuse, ModuleIndex};
 pub use json::{corpus_report_json, merge_report_json};
 pub use pipeline::{
-    xmerge_corpus, xmerge_corpus_with_index, CorpusMergeReport, CrossMergeRecord, FixpointConfig,
-    HostPolicy, ModuleStats, XMergeConfig,
+    xmerge_corpus, CorpusMergeReport, CrossMergeRecord, FixpointConfig, HostPolicy, ModuleStats,
+    XMergeConfig,
 };
 
 #[cfg(test)]

@@ -153,10 +153,9 @@ pub struct XMergeConfig {
     /// the merge overhead before any speculative scoring runs. The bound is
     /// admissible, so committed records are identical with it on or off.
     pub prefilter: bool,
-    /// Per-execution step budget for the semantic oracle. `None` keeps the
-    /// interpreter's default limit with legacy semantics; an explicit budget
-    /// turns a budget-exhausting oracle run into a counted
-    /// `rejected(oracle_timeout)` instead of a verdict.
+    /// Per-execution step budget for the semantic oracle; `None` is the
+    /// interpreter's default limit. A budget-exhausting oracle run is a
+    /// counted `rejected(oracle_timeout)` instead of a verdict.
     pub oracle_fuel: Option<u64>,
 }
 
@@ -1104,40 +1103,6 @@ impl CandidateSource for CrossSource<'_> {
 /// duplicate names — e.g. several results of [`ssa_ir::parse_module`], which
 /// all come back named `parsed` — are renamed with a numeric suffix first.
 pub fn xmerge_corpus(modules: &mut [Module], config: &XMergeConfig) -> CorpusMergeReport {
-    run_pipeline(modules, config, None, None, false).0
-}
-
-/// [`xmerge_corpus`], seeded with a previously serialized [`CorpusIndex`]
-/// (and optionally its companion [`CorpusCallIndex`]): modules whose content
-/// hash matches the prior indices skip re-summarization and re-scanning.
-/// Returns the report plus the refreshed *input-side* indices (the summaries
-/// of the corpus as it was loaded, before any merging), which callers persist
-/// so the next run over the same inputs skips both.
-pub fn xmerge_corpus_with_index(
-    modules: &mut [Module],
-    config: &XMergeConfig,
-    prior_index: Option<CorpusIndex>,
-    prior_calls: Option<CorpusCallIndex>,
-) -> (CorpusMergeReport, CorpusIndex, CorpusCallIndex) {
-    let (report, index, calls) = run_pipeline(modules, config, prior_index, prior_calls, true);
-    (
-        report,
-        index.expect("final index was requested"),
-        calls.expect("final call index was requested"),
-    )
-}
-
-fn run_pipeline(
-    modules: &mut [Module],
-    config: &XMergeConfig,
-    prior_index: Option<CorpusIndex>,
-    prior_calls: Option<CorpusCallIndex>,
-    want_input_index: bool,
-) -> (
-    CorpusMergeReport,
-    Option<CorpusIndex>,
-    Option<CorpusCallIndex>,
-) {
     let num_hashes = if config.num_hashes == 0 {
         MinHash::DEFAULT_HASHES
     } else {
@@ -1177,23 +1142,19 @@ fn run_pipeline(
         .collect();
     let fixpoint = config.fixpoint;
     let max_rounds = fixpoint.map(|f| f.max_rounds.max(1)).unwrap_or(1);
-    let mut index = prior_index;
-    let mut call_index = prior_calls;
+    // Round N+1 reuses round N's summaries of every module it left unchanged.
+    let mut index: Option<CorpusIndex> = None;
+    let mut call_index: Option<CorpusCallIndex> = None;
     // Modules worth an intra pass this round: everything on round 1, then
     // only modules a cross commit touched or whose last intra pass committed
     // something (merge_module is deterministic, so an unchanged module that
     // committed nothing will commit nothing again).
     let mut intra_dirty = vec![true; modules.len()];
-    // The first round's indices describe the corpus as loaded — that is what
-    // `--index` persists (later rounds summarize partially merged modules).
-    let mut input_index: Option<CorpusIndex> = None;
-    let mut input_calls: Option<CorpusCallIndex> = None;
     let mut alignments = AlignTally::default();
     for _round in 0..max_rounds {
         let _round_span = telemetry::span_with("xmerge.round", || format!("round {_round}"));
         // Re-index: unchanged modules reuse their summaries via the
-        // content-hash cache (full build on the first round without a prior
-        // index).
+        // content-hash cache (full build on the first round).
         let index_span = telemetry::timed_span("xmerge.index");
         let (round_index, reuse) =
             CorpusIndex::build_incremental(modules, num_hashes, index.as_ref());
@@ -1318,12 +1279,6 @@ fn run_pipeline(
         report.round_commits.push(cross_commits);
         report.committed.extend(committed);
         report.rounds += 1;
-        if input_index.is_none() {
-            input_index = Some(round_index.clone());
-        }
-        if input_calls.is_none() {
-            input_calls = Some(round_calls.clone());
-        }
         index = Some(round_index);
         call_index = Some(round_calls);
 
@@ -1407,15 +1362,7 @@ fn run_pipeline(
     report.cache_hits = hits1.saturating_sub(hits0);
     report.cache_misses = misses1.saturating_sub(misses0);
     report.set_alignments(&alignments);
-
-    if !want_input_index {
-        return (report, None, None);
-    }
-    (
-        report,
-        Some(input_index.unwrap_or_default()),
-        Some(input_calls.unwrap_or_default()),
-    )
+    report
 }
 
 /// Scores one cross-module pair without mutating anything; the merged body

@@ -1,7 +1,6 @@
 //! Property tests of the call-graph subsystem: the resolved graph's edges
 //! must exactly mirror the call instructions of the corpus — under arbitrary
-//! builder- and linker-driven mutations — and the serialized call index must
-//! round-trip into the same graph. Plus an SCC unit test on a mutually
+//! builder- and linker-driven mutations. Plus an SCC unit test on a mutually
 //! recursive module.
 
 use callgraph::{CallEdge, CallGraph, CorpusCallIndex};
@@ -139,7 +138,7 @@ proptest! {
 
     /// The resolved graph's edges exactly match the corpus's call
     /// instructions, whatever sequence of builder/linker mutations produced
-    /// the corpus — and the serialized index resolves to the same graph.
+    /// the corpus.
     #[test]
     fn graph_edges_exactly_match_call_instructions(seed in 0u64..300, mutations in 0usize..12) {
         let modules = mutated_corpus(seed, mutations);
@@ -159,9 +158,6 @@ proptest! {
                 node += 1;
             }
         }
-        // Serialization round-trips into the identical graph.
-        let reloaded = CorpusCallIndex::deserialize(&index.serialize()).unwrap();
-        prop_assert_eq!(CallGraph::resolve(&reloaded), graph);
     }
 
     /// Locality totals are conserved: summing each side over all nodes

@@ -6,9 +6,7 @@
 use ssa_ir::verifier::verify_module;
 use ssa_ir::{link_modules, print_module};
 use workloads::CorpusSpec;
-use xmerge::{
-    xmerge_corpus, xmerge_corpus_with_index, CorpusIndex, FixpointConfig, HostPolicy, XMergeConfig,
-};
+use xmerge::{xmerge_corpus, FixpointConfig, HostPolicy, XMergeConfig};
 
 fn eight_module_corpus() -> Vec<ssa_ir::Module> {
     CorpusSpec::default().generate()
@@ -101,39 +99,6 @@ fn fixpoint_round_one_matches_the_single_shot_pipeline() {
     let first_round = report.round_commits[0];
     assert_eq!(baseline.committed.len(), first_round);
     assert_eq!(baseline.committed[..], report.committed[..first_round]);
-}
-
-/// `xmerge_corpus_with_index` seeded with the index of an identical corpus
-/// skips every re-summarization and commits identically.
-#[test]
-fn prior_index_reuse_changes_nothing_but_skips_summarization() {
-    let mut baseline_corpus = eight_module_corpus();
-    let (baseline, index, calls) =
-        xmerge_corpus_with_index(&mut baseline_corpus, &XMergeConfig::new(), None, None);
-    assert_eq!(baseline.index_reuse.reused, 0);
-    assert_eq!(baseline.index_reuse.refreshed, 8);
-    assert_eq!(baseline.call_index_reuse.reused, 0);
-    assert_eq!(baseline.call_index_reuse.refreshed, 8);
-
-    // Round-trip both indices through their serialized form, like `--index`
-    // does (the call graph is persisted alongside the summary index).
-    let reloaded = CorpusIndex::deserialize(&index.serialize()).unwrap();
-    let reloaded_calls = callgraph::CorpusCallIndex::deserialize(&calls.serialize()).unwrap();
-    let mut corpus = eight_module_corpus();
-    let (report, _, _) = xmerge_corpus_with_index(
-        &mut corpus,
-        &XMergeConfig::new(),
-        Some(reloaded),
-        Some(reloaded_calls),
-    );
-    assert_eq!(report.index_reuse.reused, 8, "{report}");
-    assert_eq!(report.index_reuse.refreshed, 0);
-    assert_eq!(report.call_index_reuse.reused, 8, "{report}");
-    assert_eq!(report.call_index_reuse.refreshed, 0);
-    assert_eq!(report.committed, baseline.committed);
-    for (a, b) in baseline_corpus.iter().zip(&corpus) {
-        assert_eq!(print_module(a), print_module(b));
-    }
 }
 
 /// The host-selection acceptance scenario: on a generated call-heavy corpus,
@@ -352,19 +317,6 @@ fn xmerge_is_deterministic() {
         )
     };
     assert_eq!(run(), run());
-}
-
-#[test]
-fn corpus_index_survives_serialization_on_generated_corpora() {
-    let corpus = eight_module_corpus();
-    let index = CorpusIndex::build(&corpus, fm_align::MinHash::DEFAULT_HASHES);
-    assert_eq!(index.num_modules(), 8);
-    assert_eq!(
-        index.num_functions(),
-        corpus.iter().map(|m| m.num_functions()).sum::<usize>()
-    );
-    let reloaded = CorpusIndex::deserialize(&index.serialize()).unwrap();
-    assert_eq!(index, reloaded);
 }
 
 #[test]
