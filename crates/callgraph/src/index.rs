@@ -38,9 +38,15 @@ pub struct ModuleCalls {
 impl ModuleCalls {
     /// Summarizes every function of `module`.
     pub fn build(module: &Module) -> ModuleCalls {
+        ModuleCalls::build_hashed(module, module.content_hash())
+    }
+
+    /// [`ModuleCalls::build`] for a module whose content hash the caller has
+    /// already computed (hashing reads every function's structural key).
+    fn build_hashed(module: &Module, content_hash: u64) -> ModuleCalls {
         ModuleCalls {
             module: module.name.clone(),
-            content_hash: module.content_hash(),
+            content_hash,
             functions: module
                 .functions()
                 .iter()
@@ -107,7 +113,7 @@ impl CorpusCallIndex {
                         return (true, (*prev).clone());
                     }
                 }
-                (false, ModuleCalls::build(m))
+                (false, ModuleCalls::build_hashed(m, hash))
             })
             .collect();
         let mut reuse = CallIndexReuse::default();

@@ -11,15 +11,20 @@
 //! Candidates are scored as the loop reaches them, exactly as the paper
 //! describes: only the pairs the loop examines are aligned, and the winner's
 //! merged body is committed as scored.
+//!
+//! [`merge_module_with_memo`] is the same pass for a run that merges a
+//! module more than once (the cross-module fixpoint): a pair of bodies the
+//! run has already scored is not merged again.
 
 use crate::merge::{self, PairMerge, Refused};
 use crate::options::MergeOptions;
-use crate::plan::{run_plan, CandidateSource, CommitOutcome, PlanStats};
+use crate::plan::{run_plan, CandidateSource, CommitOutcome, MemoScore, PlanStats, ScoreMemo};
 use fm_align::{AlignTally, Band, Ranking};
 use ssa_ir::{structural_key_counters, Function, InstKind, Module, Type, Value};
 use ssa_passes::codesize::{function_size_bytes, Target};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 use telemetry::Histogram;
@@ -212,7 +217,8 @@ pub struct ModuleMergeReport {
     pub technique: String,
     /// Exploration threshold used.
     pub threshold: usize,
-    /// Pairs for which a merge was attempted (aligned + generated).
+    /// Candidate pairs scored successfully (the merger did not refuse
+    /// them), scores a run's [`ScoreMemo`] supplied included.
     pub attempts: usize,
     /// Merges committed because the cost model judged them profitable.
     pub committed: Vec<MergeRecord>,
@@ -242,7 +248,8 @@ pub struct ModuleMergeReport {
     /// scoring).
     pub align_score_only_runs: u64,
     /// Traceback alignment runs this run made: one per scored pair, refused
-    /// ones included.
+    /// ones included, except the pairs a run's [`ScoreMemo`] supplied; plus
+    /// one per commit of such a pair, which merges it again for its body.
     pub align_full_runs: u64,
     /// Banded DP attempts across both alignment tiers.
     pub align_band_runs: u64,
@@ -404,11 +411,20 @@ impl fmt::Display for ModuleMergeReport {
     }
 }
 
-/// The outcome of scoring one candidate pair: its modelled profit and the
-/// trial merge, which the commit adopts if the pair wins its group.
+/// The outcome of scoring one candidate pair: its modelled profit and, when
+/// this call merged the pair, the trial merge, which the commit adopts if the
+/// pair wins its group. A score the run's memo supplied carries no body.
 struct ScoredCandidate {
     profit: i64,
-    pair: PairMerge,
+    pair: Option<PairMerge>,
+}
+
+/// The memo a fixpoint run shares with one intra pass: the run's scores,
+/// which the pass only reads, and the scores the pass computes, which the
+/// caller adds to the run's memo afterwards (see [`merge_module_with_memo`]).
+struct PassMemo<'a> {
+    seen: &'a ScoreMemo,
+    fresh: ScoreMemo,
 }
 
 /// The intra-module [`CandidateSource`]: fingerprint ranking provides the
@@ -429,6 +445,11 @@ struct IntraSource<'a> {
     /// Every alignment and pre-filter check of the run. Behind a lock
     /// because scoring and pre-filtering count through `&self`.
     alignments: Mutex<AlignTally>,
+    /// The run's memo, for a pass of a run that shares one.
+    memo: Option<PassMemo<'a>>,
+    /// Scores the memo supplied (counted through `&self`, like
+    /// `alignments`).
+    memo_hits: AtomicUsize,
 }
 
 impl IntraSource<'_> {
@@ -446,6 +467,13 @@ impl IntraSource<'_> {
             .add(&stats);
         merged.ok()
     }
+
+    /// Trial-merges a pair and prices it.
+    fn trial(&self, f1: &Function, f2: &Function) -> Option<(i64, PairMerge)> {
+        let pair = self.merge_pair(f1, f2)?;
+        let profit = estimate_profit(self.module, &f1.name, &f2.name, &pair, self.merger.target());
+        Some((profit, pair))
+    }
 }
 
 impl CandidateSource for IntraSource<'_> {
@@ -455,9 +483,31 @@ impl CandidateSource for IntraSource<'_> {
 
     fn score(&self, key: &(String, String)) -> Option<ScoredCandidate> {
         let (f1, f2) = (self.module.function(&key.0)?, self.module.function(&key.1)?);
-        let pair = self.merge_pair(f1, f2)?;
-        let profit = estimate_profit(self.module, &key.0, &key.1, &pair, self.merger.target());
-        Some(ScoredCandidate { profit, pair })
+        let merged = |(profit, pair)| ScoredCandidate {
+            profit,
+            pair: Some(pair),
+        };
+        let Some(memo) = &self.memo else {
+            return self.trial(f1, f2).map(merged);
+        };
+        let memo_key = ScoreMemo::key(f1, f2);
+        if let Some(remembered) = memo.seen.lookup(&memo_key) {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            return remembered.map(|score| ScoredCandidate {
+                profit: score.profit,
+                pair: None,
+            });
+        }
+        // One pass never scores an ordered pair twice (each function leads
+        // at most one group), so its own scores need no lookup.
+        let trial = self.trial(f1, f2);
+        let remembered = trial.as_ref().map(|(profit, pair)| MemoScore {
+            profit: *profit,
+            sizes: (f1.num_insts(), f2.num_insts(), pair.merged_size()),
+            odr_dedup: false,
+        });
+        memo.fresh.record(memo_key, remembered);
+        trial.map(merged)
     }
 
     fn profit(score: &ScoredCandidate) -> i64 {
@@ -534,8 +584,12 @@ impl CandidateSource for IntraSource<'_> {
     }
 
     fn observe(&mut self, _key: &(String, String), scored: &ScoredCandidate) {
-        let (pair, alignment) = (&scored.pair, &scored.pair.alignment);
         self.report.attempts += 1;
+        // A score the memo supplied ran no alignment.
+        let Some(pair) = &scored.pair else {
+            return;
+        };
+        let alignment = &pair.alignment;
         self.report.align_time += pair.align_time;
         self.report.codegen_time += pair.codegen_time;
         self.report.peak_matrix_bytes = self.report.peak_matrix_bytes.max(alignment.matrix_bytes);
@@ -553,6 +607,23 @@ impl CandidateSource for IntraSource<'_> {
         scored: ScoredCandidate,
     ) -> CommitOutcome<MergeRecord> {
         let ScoredCandidate { profit, pair } = scored;
+        let pair = match pair {
+            Some(pair) => pair,
+            // The memo supplied the score: merge the pair again for the body
+            // to commit (merging is deterministic, so it is the body the
+            // score was computed from).
+            None => {
+                let merged = self
+                    .module
+                    .function(&name)
+                    .zip(self.module.function(&candidate))
+                    .and_then(|(f1, f2)| self.merge_pair(f1, f2));
+                let Some(pair) = merged else {
+                    return CommitOutcome::Skipped;
+                };
+                pair
+            }
+        };
         let record = if self.config.check_semantics {
             // Trial-commit on a copy and interrogate it with the interpreter;
             // only adopt the copy when both original entry points still
@@ -619,6 +690,39 @@ pub fn merge_module(
     merger: &dyn FunctionMerger,
     config: &DriverConfig,
 ) -> ModuleMergeReport {
+    run_pass(module, merger, config, None).0
+}
+
+/// [`merge_module`] with SalSSA, for a run that merges the same functions
+/// more than once (the cross-module fixpoint) and keeps the pair scores it
+/// has computed in `memo`. A pair of bodies `memo` holds a score for is not
+/// merged again: the score counts in [`PlanStats::memo_hits`], and only a
+/// commit of that pair merges it again, for its body. `memo` must hold
+/// scores computed with `merger`'s options.
+///
+/// The pass only reads `memo`. The scores it computes come back in a memo
+/// of their own, for the caller to [`ScoreMemo::absorb`] once no pass reads
+/// `memo`. Passes running at once thus never see each other's new scores,
+/// so which pass merges a pair, and keeps its body, never depends on their
+/// timing, and neither does any count. Decisions, commits and the merged
+/// module are those of [`merge_module`].
+pub fn merge_module_with_memo(
+    module: &mut Module,
+    merger: &SalSsaMerger,
+    config: &DriverConfig,
+    memo: &ScoreMemo,
+) -> (ModuleMergeReport, ScoreMemo) {
+    run_pass(module, merger, config, Some(memo))
+}
+
+/// One intra-module pass, with or without a run's memo; returns the report
+/// and the scores the pass added (none without a memo).
+fn run_pass(
+    module: &mut Module,
+    merger: &dyn FunctionMerger,
+    config: &DriverConfig,
+    memo: Option<&ScoreMemo>,
+) -> (ModuleMergeReport, ScoreMemo) {
     let mut report = ModuleMergeReport {
         technique: merger.name().to_string(),
         threshold: config.threshold,
@@ -647,9 +751,20 @@ pub fn merge_module(
         report: &mut report,
         paranoid,
         alignments: Mutex::new(AlignTally::default()),
+        memo: memo.map(|seen| PassMemo {
+            seen,
+            fresh: ScoreMemo::new(),
+        }),
+        memo_hits: AtomicUsize::new(0),
     };
-    let (committed, stats) = run_plan(&mut source);
+    let (committed, mut stats) = run_plan(&mut source);
+    stats.memo_hits = source.memo_hits.into_inner();
     let paranoid = source.paranoid.take();
+    let fresh = source
+        .memo
+        .take()
+        .map(|memo| memo.fresh)
+        .unwrap_or_default();
     let alignments = source
         .alignments
         .into_inner()
@@ -670,7 +785,7 @@ pub fn merge_module(
     let (hits, misses) = structural_key_counters();
     report.cache_hits = hits.saturating_sub(key_hits);
     report.cache_misses = misses.saturating_sub(key_misses);
-    report
+    (report, fresh)
 }
 
 /// Modelled byte profit of replacing `f1` and `f2` by the merged function plus
@@ -1035,6 +1150,63 @@ entry:
         assert_eq!(report.align_full_runs, 2);
         assert_eq!(report.align_lengths.count(), 2);
         assert_eq!(report.align_class_table_misses, 2);
+    }
+
+    #[test]
+    fn an_empty_memo_changes_nothing_and_collects_every_score() {
+        let merger = SalSsaMerger::default();
+        let config = DriverConfig::with_threshold(2);
+        let mut plain = clone_heavy_module();
+        let expected = merge_module(&mut plain, &merger, &config);
+        let mut memoized = clone_heavy_module();
+        let (report, scores) =
+            merge_module_with_memo(&mut memoized, &merger, &config, &ScoreMemo::new());
+        assert_eq!(report.committed, expected.committed);
+        assert_eq!(
+            ssa_ir::print_module(&memoized),
+            ssa_ir::print_module(&plain)
+        );
+        let counts = |stats: &PlanStats| PlanStats {
+            score_time: Duration::ZERO,
+            commit_time: Duration::ZERO,
+            ..*stats
+        };
+        assert_eq!(counts(&report.planner), counts(&expected.planner));
+        assert_eq!(report.planner.memo_hits, 0);
+        assert_eq!(report.attempts, expected.attempts);
+        assert_eq!(report.align_full_runs, expected.align_full_runs);
+        assert_eq!(report.total_cells, expected.total_cells);
+        // Every scored pair is handed back, refused ones included.
+        assert_eq!(scores.len(), report.planner.inline_scores);
+    }
+
+    #[test]
+    fn a_remembered_pair_is_not_merged_again_until_it_commits() {
+        let merger = SalSsaMerger::default();
+        for config in [
+            DriverConfig::with_threshold(2),
+            DriverConfig::with_threshold(2).with_check_semantics(true),
+        ] {
+            let mut plain = clone_heavy_module();
+            let expected = merge_module(&mut plain, &merger, &config);
+            assert_eq!(expected.num_merges(), 1);
+
+            let memo = ScoreMemo::new();
+            let (_, scores) =
+                merge_module_with_memo(&mut clone_heavy_module(), &merger, &config, &memo);
+            memo.absorb(scores);
+            let mut module = clone_heavy_module();
+            let (report, scores) = merge_module_with_memo(&mut module, &merger, &config, &memo);
+            // Every pair is remembered: none is scored by a merge, and the
+            // winner is merged once more, for the body its commit adopts.
+            assert_eq!(report.planner.memo_hits, report.planner.inline_scores);
+            assert!(scores.is_empty());
+            assert_eq!(report.committed, expected.committed);
+            assert_eq!(ssa_ir::print_module(&module), ssa_ir::print_module(&plain));
+            assert_eq!(report.attempts, expected.attempts);
+            assert_eq!(report.align_full_runs, 1);
+            assert_eq!(report.total_cells, 0);
+        }
     }
 
     #[test]

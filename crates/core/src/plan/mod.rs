@@ -31,6 +31,14 @@
 //! The engine returns the committed records plus [`PlanStats`]: candidates
 //! examined, up-front vs. inline scores, and phase timings — surfaced by
 //! `salssa ... --json` for trajectory tracking.
+//!
+//! A run that drives the engine more than once over the same functions (the
+//! cross-module fixpoint) lets its sources share a [`ScoreMemo`], so each
+//! ordered pair of bodies is merged at most once per run.
+
+mod memo;
+
+pub use memo::{MemoScore, ScoreMemo};
 
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -73,6 +81,11 @@ pub struct PlanStats {
     /// Commits refused because the differential oracle exhausted its fuel
     /// budget before reaching a verdict.
     pub oracle_timeouts: usize,
+    /// Scored pairs whose score came from the run's [`ScoreMemo`] instead of
+    /// a merge (maintained by sources that share a memo, like the
+    /// cross-module fixpoint; 0 without one). Each still counts as a
+    /// speculative or inline score.
+    pub memo_hits: usize,
     /// Wall-clock time of the up-front scoring phase.
     pub score_time: Duration,
     /// Wall-clock time of the commit loop (including inline scoring and
@@ -93,6 +106,7 @@ impl PlanStats {
         self.prefilter_rejected += other.prefilter_rejected;
         self.internal_errors += other.internal_errors;
         self.oracle_timeouts += other.oracle_timeouts;
+        self.memo_hits += other.memo_hits;
         self.score_time += other.score_time;
         self.commit_time += other.commit_time;
     }
@@ -774,6 +788,7 @@ mod tests {
             rounds: 1,
             candidates: 3,
             speculative_scores: 2,
+            memo_hits: 1,
             ..PlanStats::default()
         };
         total.absorb(&one);
@@ -782,5 +797,6 @@ mod tests {
         assert_eq!(total.rounds, 2);
         assert_eq!(total.candidates, 8);
         assert_eq!(total.speculative_scores, 4);
+        assert_eq!(total.memo_hits, 2);
     }
 }

@@ -10,7 +10,13 @@
 //! state, never writes it, so the committed records are bit-identical with
 //! the log on or off. When disabled, [`record_decision`] is one relaxed
 //! atomic load.
+//!
+//! Work that runs on several threads at once can still log in a fixed order:
+//! [`capture_decisions`] keeps what one thread records in a buffer of its
+//! own, and [`append_decisions`] later adds such buffers to the log, in the
+//! order the caller chooses, numbering them as they go in.
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -168,6 +174,28 @@ impl Decision {
     }
 }
 
+thread_local! {
+    /// This thread's open capture, if any (see [`capture_decisions`]).
+    static CAPTURE: RefCell<Option<Vec<Decision>>> = const { RefCell::new(None) };
+}
+
+/// Adds one decision to this thread's open capture or, when none is open,
+/// numbers it and appends it to the log.
+fn push(decision: Decision) {
+    let Some(mut decision) = CAPTURE.with(|capture| match capture.borrow_mut().as_mut() {
+        Some(buffer) => {
+            buffer.push(decision);
+            None
+        }
+        None => Some(decision),
+    }) else {
+        return;
+    };
+    let mut log = log().lock().unwrap();
+    decision.seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    log.push(decision);
+}
+
 /// Append one decision to the log. No-op (one atomic load) when disabled.
 /// Prefer [`record_decision_with`] when building the pair is not free.
 #[inline]
@@ -175,14 +203,13 @@ pub fn record_decision(event: DecisionEvent, pair: Pair, profit: Option<i64>, de
     if !decisions_enabled() {
         return;
     }
-    let decision = Decision {
-        seq: SEQ.fetch_add(1, Ordering::Relaxed),
+    push(Decision {
+        seq: 0,
         event,
         pair,
         profit,
         detail,
-    };
-    log().lock().unwrap().push(decision);
+    });
 }
 
 /// Like [`record_decision`], but the pair/profit/detail are built lazily so
@@ -197,6 +224,40 @@ pub fn record_decision_with(
     }
     let (pair, profit, detail) = build();
     record_decision(event, pair, profit, detail);
+}
+
+/// Decisions one thread recorded inside [`capture_decisions`]: kept out of
+/// the log, and not numbered, until [`append_decisions`] adds them.
+#[derive(Debug)]
+pub struct CapturedDecisions(Vec<Decision>);
+
+/// Runs `f` with every decision this thread records kept in a buffer of its
+/// own instead of the log, and returns `f`'s result with that buffer. A
+/// capture opened inside another one hands its decisions back to its own
+/// caller; decisions recorded on other threads are not captured.
+pub fn capture_decisions<T>(f: impl FnOnce() -> T) -> (T, CapturedDecisions) {
+    /// Puts the enclosing capture back, also when `f` unwinds.
+    struct Restore(Option<Vec<Decision>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let outer = self.0.take();
+            CAPTURE.with(|capture| *capture.borrow_mut() = outer);
+        }
+    }
+    let restore = Restore(CAPTURE.with(|capture| capture.replace(Some(Vec::new()))));
+    let out = f();
+    let captured = CAPTURE.with(|capture| capture.borrow_mut().take());
+    drop(restore);
+    (out, CapturedDecisions(captured.unwrap_or_default()))
+}
+
+/// Adds captured decisions to the log in their recorded order, numbering
+/// each as it goes in (into this thread's open capture instead, if one is
+/// open).
+pub fn append_decisions(captured: CapturedDecisions) {
+    for decision in captured.0 {
+        push(decision);
+    }
 }
 
 /// Drain the decision log (ordered by sequence number).
@@ -284,6 +345,78 @@ mod tests {
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
+    }
+
+    #[test]
+    fn captured_decisions_enter_the_log_when_appended_in_append_order() {
+        let _l = lock();
+        set_decisions(true);
+        let _ = take_decisions();
+        let record = |func: &str| {
+            record_decision(
+                DecisionEvent::Discovered,
+                Pair::intra(func, "x"),
+                None,
+                String::new(),
+            )
+        };
+        record("before");
+        let ((), first) = capture_decisions(|| {
+            record("a1");
+            record("a2");
+        });
+        let ((), second) = capture_decisions(|| record("b1"));
+        // Another thread's records are not captured by this one.
+        let (other, captured_here) = capture_decisions(|| {
+            std::thread::scope(|scope| scope.spawn(|| record("elsewhere")).join().unwrap());
+            take_decisions()
+        });
+        let funcs = |decisions: &[Decision]| -> Vec<String> {
+            decisions.iter().map(|d| d.pair.func_a.clone()).collect()
+        };
+        assert_eq!(funcs(&other), ["before", "elsewhere"]);
+        assert!(take_decisions().is_empty(), "captures stay out of the log");
+        append_decisions(captured_here);
+        assert!(take_decisions().is_empty(), "nothing was captured here");
+
+        // Appended second first: the log numbers them in append order.
+        append_decisions(second);
+        append_decisions(first);
+        record("after");
+        set_decisions(false);
+        let decisions = take_decisions();
+        assert_eq!(funcs(&decisions), ["b1", "a1", "a2", "after"]);
+        assert!(decisions.windows(2).all(|w| w[1].seq == w[0].seq + 1));
+        assert!(decisions[0].seq > other[1].seq);
+    }
+
+    #[test]
+    fn a_capture_is_closed_when_its_closure_panics() {
+        let _l = lock();
+        set_decisions(true);
+        let _ = take_decisions();
+        let unwound = std::panic::catch_unwind(|| {
+            capture_decisions(|| {
+                record_decision(
+                    DecisionEvent::Discovered,
+                    Pair::intra("lost", "x"),
+                    None,
+                    String::new(),
+                );
+                panic!("the captured work failed");
+            })
+        });
+        assert!(unwound.is_err());
+        record_decision(
+            DecisionEvent::Discovered,
+            Pair::intra("kept", "x"),
+            None,
+            String::new(),
+        );
+        set_decisions(false);
+        let decisions = take_decisions();
+        assert_eq!(decisions.len(), 1);
+        assert_eq!(decisions[0].pair.func_a, "kept");
     }
 
     #[test]

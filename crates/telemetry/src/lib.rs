@@ -52,8 +52,8 @@ pub use alloc::{
     AllocSnapshot,
 };
 pub use decisions::{
-    decisions_enabled, record_decision, record_decision_with, set_decisions, take_decisions,
-    Decision, DecisionEvent, Pair, RejectReason,
+    append_decisions, capture_decisions, decisions_enabled, record_decision, record_decision_with,
+    set_decisions, take_decisions, CapturedDecisions, Decision, DecisionEvent, Pair, RejectReason,
 };
 pub use faultinject::{arm as arm_fault, disarm_all as disarm_faults, should_fail, trip};
 pub use histogram::Histogram;

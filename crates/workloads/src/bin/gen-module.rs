@@ -8,9 +8,11 @@
 //! ```
 //!
 //! A bad, missing or unknown flag prints `error: <what>` and the usage text
-//! on stderr and exits with status 2.
+//! on stderr and exits with status 2. A reader that closes the output early
+//! (`gen-module | head -1`) ends the program quietly with status 0.
 
 use ssa_ir::print_module;
+use std::io::Write;
 use std::process::ExitCode;
 use workloads::{BenchmarkSpec, Divergence};
 
@@ -94,6 +96,15 @@ fn main() -> ExitCode {
     }
     let errors = ssa_ir::verifier::verify_module(&module);
     assert!(errors.is_empty(), "generated module is invalid: {errors:?}");
-    print!("{}", print_module(&module));
-    ExitCode::SUCCESS
+    match std::io::stdout()
+        .lock()
+        .write_all(print_module(&module).as_bytes())
+    {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: writing output failed: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

@@ -73,9 +73,15 @@ pub struct ModuleIndex {
 impl ModuleIndex {
     /// Summarizes every function of `module`.
     pub fn build(module: &Module, num_hashes: usize) -> ModuleIndex {
+        ModuleIndex::build_hashed(module, num_hashes, module.content_hash())
+    }
+
+    /// [`ModuleIndex::build`] for a module whose content hash the caller has
+    /// already computed (hashing reads every function's structural key).
+    fn build_hashed(module: &Module, num_hashes: usize, content_hash: u64) -> ModuleIndex {
         ModuleIndex {
             module: module.name.clone(),
-            content_hash: module.content_hash(),
+            content_hash,
             entries: module
                 .functions()
                 .iter()
@@ -165,7 +171,7 @@ impl CorpusIndex {
                         return (true, prev.clone());
                     }
                 }
-                (false, ModuleIndex::build(m, num_hashes))
+                (false, ModuleIndex::build_hashed(m, num_hashes, hash))
             })
             .collect();
         let mut index = CorpusIndex::new(num_hashes);

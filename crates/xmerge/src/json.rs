@@ -24,10 +24,11 @@ fn pct(before: usize, after: usize) -> String {
 
 /// Serializes the planner-engine statistics shared by both report schemas.
 /// `oracle_carried` and `hazard_reuse` are retired counters, emitted as
-/// constant zeros because the schema is append-only.
+/// constant zeros because the schema is append-only. `memo_hits` is 0 in
+/// the `merge` schema: a single-module merge keeps no score memo.
 fn planner_json(stats: &PlanStats) -> String {
     format!(
-        r#"{{"candidates":{},"speculative_scores":{},"inline_scores":{},"rounds":{},"score_ms":{},"commit_ms":{},"oracle_links":{},"oracle_carried":0,"hazard_reuse":0,"internal_errors":{},"oracle_timeouts":{}}}"#,
+        r#"{{"candidates":{},"speculative_scores":{},"inline_scores":{},"rounds":{},"score_ms":{},"commit_ms":{},"oracle_links":{},"oracle_carried":0,"hazard_reuse":0,"internal_errors":{},"oracle_timeouts":{},"memo_hits":{}}}"#,
         stats.candidates,
         stats.speculative_scores,
         stats.inline_scores,
@@ -36,7 +37,8 @@ fn planner_json(stats: &PlanStats) -> String {
         ms(stats.commit_time),
         stats.oracle_links,
         stats.internal_errors,
-        stats.oracle_timeouts
+        stats.oracle_timeouts,
+        stats.memo_hits
     )
 }
 
@@ -430,7 +432,7 @@ mod tests {
             json.contains(r#""gauges":{},"histograms":{"fm_align.alignment_length":{"count":0,"#)
         );
         assert!(json.contains(r#""recovery":{"functions_skipped":0,"modules_recovered":0}"#));
-        assert!(json.contains(r#""internal_errors":0,"oracle_timeouts":0"#));
+        assert!(json.contains(r#""internal_errors":0,"oracle_timeouts":0,"memo_hits":0}"#));
         // Retired counters stay in the append-only schema as constant zeros.
         assert!(json.contains(r#""oracle_carried":0,"hazard_reuse":0"#));
     }

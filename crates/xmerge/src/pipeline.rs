@@ -33,6 +33,27 @@
 //! re-enters the candidate pool and can merge again — until a round commits
 //! nothing or the round cap is reached.
 //!
+//! A run merges each ordered pair of function bodies at most once: every
+//! round's scoring and every intra pass share one [`ScoreMemo`], keyed by
+//! each side's name and structural key, so a pair a later round or pass
+//! meets again with both bodies unchanged takes its remembered score
+//! ([`PlanStats::memo_hits`]). A remembered score carries no merged body: a
+//! cross commit re-merges its winner anyway, and an intra commit of a
+//! remembered pair merges it once more. Hazard and oracle verdicts are
+//! computed fresh every time.
+//!
+//! The intra passes of one round run in parallel, one module each
+//! ([`merge_module_with_memo`]): a pass reads and writes only its module.
+//! Each pass records its decisions into a buffer of its own
+//! ([`telemetry::capture_decisions`]) and reads the memo as the round left
+//! it. The pipeline then appends the decisions, adds the passes' new scores
+//! to the memo, runs the paranoid checks and folds the reports, all in module
+//! order, so output, counts and the decision log (sequence numbers included)
+//! are those of passes run one after another. The passes' phase times still
+//! add up into [`PlanStats::score_time`] and [`PlanStats::commit_time`], so
+//! those sums can exceed the wall time. Which pass trips an armed
+//! `plan.score` or `plan.commit` fault probe depends on their timing.
+//!
 //! Every round also (incrementally) rebuilds the whole-program **call graph**
 //! (the `callgraph` crate). It drives **host selection**
 //! ([`XMergeConfig::host_policy`]): under [`HostPolicy::CallGraph`] each
@@ -52,10 +73,11 @@ use crate::discover::{discover, CandidatePair, DiscoveryConfig};
 use crate::index::{CorpusIndex, IndexReuse};
 use callgraph::{module_regions, CallGraph, CallIndexReuse, CorpusCallIndex};
 use fm_align::{AlignTally, AlignmentStats, MinHash};
-use salssa::plan::{run_plan, CandidateSource, CommitOutcome, PlanStats};
+use rayon::prelude::*;
+use salssa::plan::{run_plan, CandidateSource, CommitOutcome, MemoScore, PlanStats, ScoreMemo};
 use salssa::{
-    build_thunk, merge_module, merge_pair_with_distance, DriverConfig, MergeOptions, MergeRecord,
-    Refused, SalSsaMerger, SEMANTIC_SAMPLES, SEMANTIC_SEED,
+    build_thunk, merge_module_with_memo, merge_pair_with_distance, DriverConfig, MergeOptions,
+    MergeRecord, Refused, SalSsaMerger, SEMANTIC_SAMPLES, SEMANTIC_SEED,
 };
 use ssa_ir::{
     callees_of, import_function, link_modules_with_renames, sanitize_symbol,
@@ -65,6 +87,7 @@ use ssa_passes::codesize::function_size_bytes;
 use ssa_passes::module_size_bytes;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 use telemetry::Histogram;
@@ -271,7 +294,8 @@ pub struct CorpusMergeReport {
     /// Cross-module candidate pairs produced by sharded discovery (summed
     /// over fixpoint rounds).
     pub candidates: usize,
-    /// Pairs actually scored (aligned + tentatively merged).
+    /// Pairs scored successfully (the merger did not refuse them), scores
+    /// the run's memo supplied included.
     pub attempts: usize,
     /// Committed cross-module operations, in commit order.
     pub committed: Vec<CrossMergeRecord>,
@@ -328,8 +352,9 @@ pub struct CorpusMergeReport {
     pub region_counts: Vec<usize>,
     /// Call-site index reuse of the incremental per-round rebuilds.
     pub call_index_reuse: CallIndexReuse,
-    /// Peak *live* alignment DP bytes over every scored pair (cross and
-    /// interleaved intra): rolling rows plus divide-and-conquer seed rows.
+    /// Peak *live* alignment DP bytes over every pair merged for its score
+    /// (cross and interleaved intra): rolling rows plus divide-and-conquer
+    /// seed rows.
     pub align_peak_live_bytes: u64,
     /// Peak footprint the historical full score matrix would have had over
     /// the same pairs (the quadratic baseline the engine undercuts).
@@ -341,8 +366,9 @@ pub struct CorpusMergeReport {
     /// Score-only alignment runs this pipeline run made (the pre-filter's
     /// gray-zone passes, cross and intra).
     pub align_score_only_runs: u64,
-    /// Traceback alignment runs this pipeline run made: every scored pair,
-    /// refused ones included, plus each commit's re-alignment.
+    /// Traceback alignment runs this pipeline run made: every pair merged
+    /// for its score, refused ones included (pairs whose score the run's
+    /// memo supplied ran none), plus each commit's re-alignment.
     pub align_full_runs: u64,
     /// Banded DP attempts across both alignment tiers.
     pub align_band_runs: u64,
@@ -545,10 +571,11 @@ impl fmt::Display for CorpusMergeReport {
         )?;
         writeln!(
             f,
-            "  planner: {} candidates, {} speculative + {} inline scores, {} oracle links; structural-key cache {:.1}% hits ({} hits / {} misses)",
+            "  planner: {} candidates, {} speculative + {} inline scores ({} from the score memo), {} oracle links; structural-key cache {:.1}% hits ({} hits / {} misses)",
             self.planner.candidates,
             self.planner.speculative_scores,
             self.planner.inline_scores,
+            self.planner.memo_hits,
             self.planner.oracle_links,
             100.0 * self.cache_hit_rate(),
             self.cache_hits,
@@ -586,7 +613,7 @@ pub(crate) struct ScoredCross {
     pub(crate) sizes: (usize, usize, usize),
     pub(crate) odr_dedup: bool,
     /// Alignment instrumentation of the trial merge (`None` for an ODR
-    /// dedup, which never aligns).
+    /// dedup, which never aligns, and for a score the run's memo supplied).
     pub(crate) alignment: Option<AlignmentStats>,
 }
 
@@ -624,8 +651,6 @@ type CouplingMap = HashMap<String, HashMap<String, Coupling>>;
 struct CrossSource<'a> {
     modules: &'a mut [Module],
     config: &'a XMergeConfig,
-    /// Module names at round start (commits never rename modules).
-    names: &'a [String],
     /// Where every symbol is defined, with its linkage, for the hazard rules.
     def_sites: HashMap<String, Vec<(usize, Linkage)>>,
     /// Discovery output, in discovery order (the speculative key set),
@@ -659,17 +684,21 @@ struct CrossSource<'a> {
     paranoid: Option<&'a mut analysis::ParanoidMonitor>,
     /// Discovery-time fingerprint distances, for band sizing.
     distances: &'a DistanceMap,
+    /// The run's pair scores, shared by every round and intra pass.
+    memo: &'a ScoreMemo,
+    /// Scores the memo supplied (counted from scoring workers).
+    memo_hits: AtomicUsize,
 }
 
 impl<'a> CrossSource<'a> {
     fn new(
         modules: &'a mut [Module],
         config: &'a XMergeConfig,
-        names: &'a [String],
         resolved: Vec<CrossKey>,
         coupling: &'a CouplingMap,
         paranoid: Option<&'a mut analysis::ParanoidMonitor>,
         distances: &'a DistanceMap,
+        memo: &'a ScoreMemo,
     ) -> CrossSource<'a> {
         // Where each symbol is defined, with linkage, for the hazard rules.
         let mut def_sites: HashMap<String, Vec<(usize, Linkage)>> = HashMap::new();
@@ -684,7 +713,6 @@ impl<'a> CrossSource<'a> {
         CrossSource {
             modules,
             config,
-            names,
             def_sites,
             resolved,
             coupling,
@@ -701,18 +729,28 @@ impl<'a> CrossSource<'a> {
             alignments: Mutex::new(AlignTally::default()),
             paranoid,
             distances,
+            memo,
+            memo_hits: AtomicUsize::new(0),
         }
+    }
+
+    /// A key's host module, host function, donor module and donor function
+    /// names.
+    fn names_of<'k>(&'k self, key: &'k CrossKey) -> (&'k str, &'k str, &'k str, &'k str) {
+        let (hi, di, f1, f2) = key;
+        (&self.modules[*hi].name, f1, &self.modules[*di].name, f2)
     }
 
     /// The discovery-time fingerprint distance of a (placed) pair, if the
     /// round's LSH pass produced one.
     fn distance_of(&self, key: &CrossKey) -> Option<u64> {
+        let (hn, f1, dn, f2) = self.names_of(key);
         self.distances
             .get(&(
-                self.names[key.0].clone(),
-                key.2.clone(),
-                self.names[key.1].clone(),
-                key.3.clone(),
+                hn.to_string(),
+                f1.to_string(),
+                dn.to_string(),
+                f2.to_string(),
             ))
             .copied()
     }
@@ -723,7 +761,7 @@ impl<'a> CrossSource<'a> {
     fn donor_cost(&self, module: usize, name: &str, dedup: bool) -> u32 {
         let c = self
             .coupling
-            .get(&self.names[module])
+            .get(&self.modules[module].name)
             .and_then(|functions| functions.get(name))
             .copied()
             .unwrap_or_default();
@@ -762,12 +800,8 @@ impl<'a> CrossSource<'a> {
 
     /// Names a candidate key for telemetry decision provenance.
     fn pair_of(&self, key: &CrossKey) -> telemetry::Pair {
-        telemetry::Pair::cross(
-            self.names[key.0].clone(),
-            key.2.clone(),
-            self.names[key.1].clone(),
-            key.3.clone(),
-        )
+        let (hn, f1, dn, f2) = self.names_of(key);
+        telemetry::Pair::cross(hn, f1, dn, f2)
     }
 }
 
@@ -799,29 +833,53 @@ impl CandidateSource for CrossSource<'_> {
         }
     }
 
+    /// Scores a pair through the run's memo: a pair of bodies the run has
+    /// scored before is not merged again, and its score carries no
+    /// alignment.
     fn score(&self, key: &CrossKey) -> Option<ScoredCross> {
         let (hi, di, f1n, f2n) = key;
         let f1 = self.modules[*hi].function(f1n)?;
         let f2 = self.modules[*di].function(f2n)?;
-        let scored = score_cross(
-            *hi,
-            *di,
-            f1,
-            f2,
-            &self.config.options,
-            self.distance_of(key),
-        );
-        let stats = match &scored {
-            Ok(s) => s.alignment,
-            Err(refused) => Some(refused.alignment),
-        };
-        if let Some(stats) = stats {
-            self.alignments
-                .lock()
-                .expect("no thread panics while counting an alignment")
-                .add(&stats);
+        let mut alignment = None;
+        let (remembered, hit) = self.memo.get_or_score(f1, f2, || {
+            let scored = score_cross(
+                *hi,
+                *di,
+                f1,
+                f2,
+                &self.config.options,
+                self.distance_of(key),
+            );
+            alignment = match &scored {
+                Ok(s) => s.alignment,
+                Err(refused) => Some(refused.alignment),
+            };
+            if let Some(stats) = &alignment {
+                self.alignments
+                    .lock()
+                    .expect("no thread panics while counting an alignment")
+                    .add(stats);
+            }
+            scored.ok().map(|s| MemoScore {
+                profit: s.profit,
+                sizes: s.sizes,
+                odr_dedup: s.odr_dedup,
+            })
+        });
+        if hit {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
         }
-        scored.ok()
+        let score = remembered?;
+        Some(ScoredCross {
+            host: *hi,
+            donor: *di,
+            f1: f1n.clone(),
+            f2: f2n.clone(),
+            profit: score.profit,
+            sizes: score.sizes,
+            odr_dedup: score.odr_dedup,
+            alignment,
+        })
     }
 
     fn profit(score: &ScoredCross) -> i64 {
@@ -873,14 +931,8 @@ impl CandidateSource for CrossSource<'_> {
         }
         self.attempts = scored.len();
         scored.sort_by(|(xk, xp, _), (yk, yp, _)| {
-            yp.cmp(xp).then_with(|| {
-                (&self.names[xk.0], &xk.2, &self.names[xk.1], &xk.3).cmp(&(
-                    &self.names[yk.0],
-                    &yk.2,
-                    &self.names[yk.1],
-                    &yk.3,
-                ))
-            })
+            yp.cmp(xp)
+                .then_with(|| self.names_of(xk).cmp(&self.names_of(yk)))
         });
         self.schedule = scored.into();
     }
@@ -941,7 +993,7 @@ impl CandidateSource for CrossSource<'_> {
         let _span = telemetry::span_with("xmerge.hazard_scan", || {
             format!(
                 "{}:{} vs {}:{}",
-                self.names[s.host], s.f1, self.names[s.donor], s.f2
+                self.modules[s.host].name, s.f1, self.modules[s.donor].name, s.f2
             )
         });
         let verdict = has_odr_hazard(self.modules, &self.def_sites, s);
@@ -977,7 +1029,7 @@ impl CandidateSource for CrossSource<'_> {
             let _span = telemetry::span_with("xmerge.oracle", || {
                 format!(
                     "{}:{} vs {}:{}",
-                    self.names[s.host], s.f1, self.names[s.donor], s.f2
+                    self.modules[s.host].name, s.f1, self.modules[s.donor].name, s.f2
                 )
             });
             let mut trial_host = self.modules[s.host].clone();
@@ -1016,7 +1068,7 @@ impl CandidateSource for CrossSource<'_> {
             // across the before/after links, so the names line up).
             let entries = [(s.host, &s.f1), (s.donor, &s.f2)].map(|(mi, name)| {
                 before_renames
-                    .get(&(self.names[mi].clone(), name.clone()))
+                    .get(&(self.modules[mi].name.clone(), name.clone()))
                     .cloned()
                     .unwrap_or_else(|| name.clone())
             });
@@ -1073,8 +1125,8 @@ impl CandidateSource for CrossSource<'_> {
             monitor.check_module(&self.modules[s.donor]);
         }
         CommitOutcome::Committed(CrossMergeRecord {
-            host_module: self.names[s.host].clone(),
-            donor_module: self.names[s.donor].clone(),
+            host_module: self.modules[s.host].name.clone(),
+            donor_module: self.modules[s.donor].name.clone(),
             f1: s.f1,
             f2: s.f2,
             merged_name: if s.odr_dedup {
@@ -1151,6 +1203,9 @@ pub fn xmerge_corpus(modules: &mut [Module], config: &XMergeConfig) -> CorpusMer
     // committed nothing will commit nothing again).
     let mut intra_dirty = vec![true; modules.len()];
     let mut alignments = AlignTally::default();
+    // Every pair score of the run, shared by all rounds and intra passes:
+    // each ordered pair of bodies is merged at most once per run.
+    let memo = ScoreMemo::new();
     for _round in 0..max_rounds {
         let _round_span = telemetry::span_with("xmerge.round", || format!("round {_round}"));
         // Re-index: unchanged modules reuse their summaries via the
@@ -1245,14 +1300,15 @@ pub fn xmerge_corpus(modules: &mut [Module], config: &XMergeConfig) -> CorpusMer
         let mut source = CrossSource::new(
             modules,
             config,
-            &names,
             resolved,
             &coupling,
             paranoid_monitor.as_mut(),
             &distances,
+            &memo,
         );
         let (committed, mut stats) = run_plan(&mut source);
         stats.oracle_links = source.oracle_links;
+        stats.memo_hits = source.memo_hits.into_inner();
         report.attempts += source.attempts;
         report.hazard_skips += source.hazard_skips;
         report.semantic_rejections += source.semantic_rejections;
@@ -1296,18 +1352,36 @@ pub fn xmerge_corpus(modules: &mut [Module], config: &XMergeConfig) -> CorpusMer
         let mut intra_commits = 0usize;
         if let Some(intra_config) = fixpoint.and_then(|f| f.intra) {
             let merger = SalSsaMerger::new(config.options);
-            for (mi, module) in modules.iter_mut().enumerate() {
-                if !intra_dirty[mi] {
-                    continue;
-                }
-                let _span = telemetry::span_with("xmerge.intra", || module.name.clone());
-                let intra_report = merge_module(module, &merger, &intra_config);
+            // A pass reads and writes only its own module, so the round's
+            // passes run on all cores. Each records its decisions into a
+            // buffer of its own and reads the run's memo without adding to
+            // it; the loop below appends the decisions, absorbs the new
+            // scores and folds the reports in module order, exactly as
+            // passes run one after another would.
+            let mut passes: Vec<(usize, &mut Module)> = modules
+                .iter_mut()
+                .enumerate()
+                .filter(|(mi, _)| intra_dirty[*mi])
+                .collect();
+            let outcomes: Vec<_> = passes
+                .par_iter_mut()
+                .map(|(mi, module)| {
+                    let _span = telemetry::span_with("xmerge.intra", || module.name.clone());
+                    let ((intra_report, scores), decisions) = telemetry::capture_decisions(|| {
+                        merge_module_with_memo(module, &merger, &intra_config, &memo)
+                    });
+                    (*mi, intra_report, scores, decisions)
+                })
+                .collect();
+            for (mi, intra_report, scores, decisions) in outcomes {
+                telemetry::append_decisions(decisions);
+                memo.absorb(scores);
                 if let Some(monitor) = &mut paranoid_monitor {
                     if intra_report.num_merges() > 0 {
                         // Attribute intra-introduced regressions to this
                         // round rather than letting the next cross commit's
                         // check inherit them.
-                        monitor.check_module(module);
+                        monitor.check_module(&modules[mi]);
                     }
                 }
                 intra_commits += intra_report.num_merges();
