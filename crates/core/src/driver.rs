@@ -227,19 +227,21 @@ pub struct ModuleMergeReport {
     /// Total time spent in code generation (including SSA repair and local
     /// clean-up of candidate merges).
     pub codegen_time: Duration,
-    /// Peak *live* dynamic-programming footprint over all attempted
-    /// alignments, in bytes: rolling rows plus the divide-and-conquer seed
-    /// rows. This is what the linear-space engine actually holds in memory.
+    /// Peak *live* dynamic-programming footprint over the traceback runs
+    /// counted in [`Self::align_full_runs`], in bytes: rolling rows plus the
+    /// divide-and-conquer seed rows. This is what the linear-space engine
+    /// actually holds in memory.
     pub peak_matrix_bytes: u64,
     /// Peak footprint the historical full score matrix would have had over
-    /// the same alignments (the Figure 22 baseline the engine is measured
+    /// the same runs (the Figure 22 baseline the engine is measured
     /// against).
     pub peak_full_matrix_bytes: u64,
-    /// Total dynamic-programming cells computed (time proxy for Figure 23),
-    /// including trim comparisons; saturating.
+    /// Dynamic-programming cells of the same runs (time proxy for Figure
+    /// 23), including trim comparisons; saturating. The pre-filter's
+    /// score-only runs are not included.
     pub total_cells: u64,
-    /// Match pairs resolved by common prefix/suffix trimming instead of DP,
-    /// summed over all attempted alignments.
+    /// Match pairs the same runs resolved by common prefix/suffix trimming
+    /// instead of DP.
     pub align_trimmed_entries: u64,
     /// Score-only alignment runs ([`fm_align::align_score`]) this run made.
     /// Exact profit needs the merged body, so scoring always runs the
@@ -315,6 +317,10 @@ impl ModuleMergeReport {
         AlignTally {
             score_only_runs: self.align_score_only_runs,
             full_runs: self.align_full_runs,
+            cells: self.total_cells,
+            trimmed_entries: self.align_trimmed_entries,
+            peak_live_bytes: self.peak_matrix_bytes,
+            peak_full_matrix_bytes: self.peak_full_matrix_bytes,
             band_runs: self.align_band_runs,
             band_saturations: self.align_band_saturations,
             class_table_hits: self.align_class_table_hits,
@@ -327,6 +333,10 @@ impl ModuleMergeReport {
     fn set_alignments(&mut self, tally: &AlignTally) {
         self.align_score_only_runs = tally.score_only_runs;
         self.align_full_runs = tally.full_runs;
+        self.total_cells = tally.cells;
+        self.align_trimmed_entries = tally.trimmed_entries;
+        self.peak_matrix_bytes = tally.peak_live_bytes;
+        self.peak_full_matrix_bytes = tally.peak_full_matrix_bytes;
         self.align_band_runs = tally.band_runs;
         self.align_band_saturations = tally.band_saturations;
         self.align_class_table_hits = tally.class_table_hits;
@@ -589,16 +599,8 @@ impl CandidateSource for IntraSource<'_> {
         let Some(pair) = &scored.pair else {
             return;
         };
-        let alignment = &pair.alignment;
         self.report.align_time += pair.align_time;
         self.report.codegen_time += pair.codegen_time;
-        self.report.peak_matrix_bytes = self.report.peak_matrix_bytes.max(alignment.matrix_bytes);
-        self.report.peak_full_matrix_bytes = self
-            .report
-            .peak_full_matrix_bytes
-            .max(alignment.full_matrix_bytes);
-        self.report.total_cells = self.report.total_cells.saturating_add(alignment.cells);
-        self.report.align_trimmed_entries += alignment.trimmed as u64;
     }
 
     fn commit(
@@ -630,14 +632,7 @@ impl CandidateSource for IntraSource<'_> {
             // behave identically.
             let _span = telemetry::span_with("intra.oracle", || format!("{name} vs {candidate}"));
             let mut trial = self.module.clone();
-            let record = commit_merge(
-                &mut trial,
-                &name,
-                &candidate,
-                pair,
-                profit,
-                self.merger.target(),
-            );
+            let record = commit_merge(&mut trial, &name, &candidate, pair, profit);
             telemetry::faultinject::trip("oracle.check");
             let verdict = [name.as_str(), candidate.as_str()]
                 .iter()
@@ -664,14 +659,7 @@ impl CandidateSource for IntraSource<'_> {
             *self.module = trial;
             record
         } else {
-            commit_merge(
-                self.module,
-                &name,
-                &candidate,
-                pair,
-                profit,
-                self.merger.target(),
-            )
+            commit_merge(self.module, &name, &candidate, pair, profit)
         };
         self.unavailable.insert(name);
         self.unavailable.insert(candidate);
@@ -829,7 +817,6 @@ fn commit_merge(
     f2: &str,
     pair: PairMerge,
     profit: i64,
-    _target: Target,
 ) -> MergeRecord {
     let original_f1 = module.remove_function(f1).expect("f1 must exist");
     let original_f2 = module.remove_function(f2).expect("f2 must exist");
@@ -1127,6 +1114,18 @@ entry:
                 "an alignment held a full score matrix: {stats:?}"
             );
         }
+        // The report's cells, trimmed entries and peaks cover exactly the
+        // alignments the merger ran.
+        let cells: u64 = seen.iter().map(|s| s.cells).sum();
+        let trimmed: u64 = seen.iter().map(|s| s.trimmed as u64).sum();
+        assert_eq!(report.total_cells, cells);
+        assert_eq!(report.align_trimmed_entries, trimmed);
+        let peak = |bytes: fn(&fm_align::AlignmentStats) -> u64| seen.iter().map(bytes).max();
+        assert_eq!(Some(report.peak_matrix_bytes), peak(|s| s.matrix_bytes));
+        assert_eq!(
+            Some(report.peak_full_matrix_bytes),
+            peak(|s| s.full_matrix_bytes)
+        );
     }
 
     #[test]
@@ -1199,13 +1198,26 @@ entry:
             let (report, scores) = merge_module_with_memo(&mut module, &merger, &config, &memo);
             // Every pair is remembered: none is scored by a merge, and the
             // winner is merged once more, for the body its commit adopts.
+            // That one alignment is all the report counts.
             assert_eq!(report.planner.memo_hits, report.planner.inline_scores);
             assert!(scores.is_empty());
             assert_eq!(report.committed, expected.committed);
             assert_eq!(ssa_ir::print_module(&module), ssa_ir::print_module(&plain));
             assert_eq!(report.attempts, expected.attempts);
             assert_eq!(report.align_full_runs, 1);
-            assert_eq!(report.total_cells, 0);
+            let fresh = clone_heavy_module();
+            let winner = &expected.committed[0];
+            let remerge = merger
+                .merge_pair(
+                    fresh.function(&winner.f1).unwrap(),
+                    fresh.function(&winner.f2).unwrap(),
+                    &winner.merged_name,
+                )
+                .unwrap()
+                .alignment;
+            assert!(remerge.cells > 0);
+            assert_eq!(report.total_cells, remerge.cells);
+            assert_eq!(report.align_trimmed_entries, remerge.trimmed as u64);
         }
     }
 

@@ -155,14 +155,26 @@ pub struct Alignment {
 
 /// Sums over the alignments of one run: the [`AlignmentStats`] of each
 /// call, added up by the run that made it. Reports publish these sums as
-/// their `align_*` run counts and in their `telemetry` block. Nothing is
-/// counted process-wide, so concurrent runs keep separate sums.
+/// their `align_*` run counts, their cells, trim and peak figures, and in
+/// their `telemetry` block. Nothing is counted process-wide, so concurrent
+/// runs keep separate sums.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AlignTally {
     /// Score-only runs ([`align_score`] and its banded variants).
     pub score_only_runs: u64,
     /// Traceback runs ([`align`] and its banded variants).
     pub full_runs: u64,
+    /// Cells of every traceback run (DP plus trim comparisons), saturating.
+    /// Score-only runs are the pre-filter's, and count only in
+    /// [`Self::score_only_runs`] and [`Self::lengths`].
+    pub cells: u64,
+    /// Match pairs every traceback run resolved by trimming instead of DP.
+    pub trimmed_entries: u64,
+    /// Peak live DP bytes over every traceback run.
+    pub peak_live_bytes: u64,
+    /// Peak bytes the full score matrix would have taken over every
+    /// traceback run (the Figure 22 baseline).
+    pub peak_full_matrix_bytes: u64,
     /// Runs that attempted a diagonal band.
     pub band_runs: u64,
     /// Band attempts that saturated and fell back to the exact tier.
@@ -182,6 +194,10 @@ impl AlignTally {
             self.score_only_runs += 1;
         } else {
             self.full_runs += 1;
+            self.cells = self.cells.saturating_add(stats.cells);
+            self.trimmed_entries += stats.trimmed as u64;
+            self.peak_live_bytes = self.peak_live_bytes.max(stats.matrix_bytes);
+            self.peak_full_matrix_bytes = self.peak_full_matrix_bytes.max(stats.full_matrix_bytes);
         }
         self.band_runs += u64::from(stats.banded);
         self.band_saturations += u64::from(stats.band_saturated);
@@ -203,6 +219,12 @@ impl AlignTally {
     pub fn absorb(&mut self, other: &AlignTally) {
         self.score_only_runs += other.score_only_runs;
         self.full_runs += other.full_runs;
+        self.cells = self.cells.saturating_add(other.cells);
+        self.trimmed_entries += other.trimmed_entries;
+        self.peak_live_bytes = self.peak_live_bytes.max(other.peak_live_bytes);
+        self.peak_full_matrix_bytes = self
+            .peak_full_matrix_bytes
+            .max(other.peak_full_matrix_bytes);
         self.band_runs += other.band_runs;
         self.band_saturations += other.band_saturations;
         self.class_table_hits += other.class_table_hits;
@@ -1287,32 +1309,32 @@ pub fn align_full_matrix(
     }
 }
 
-/// Exhaustive (exponential) alignment used only by tests to check optimality
-/// of [`align`] on tiny sequences.
-pub fn brute_force_best_score(
-    f1: &Function,
-    seq1: &[SeqEntry],
-    f2: &Function,
-    seq2: &[SeqEntry],
-) -> usize {
-    fn go(f1: &Function, s1: &[SeqEntry], f2: &Function, s2: &[SeqEntry]) -> usize {
-        if s1.is_empty() || s2.is_empty() {
-            return 0;
-        }
-        let mut best = go(f1, &s1[1..], f2, s2).max(go(f1, s1, f2, &s2[1..]));
-        if mergeable(f1, s1[0], f2, s2[0]) {
-            best = best.max(1 + go(f1, &s1[1..], f2, &s2[1..]));
-        }
-        best
-    }
-    go(f1, seq1, f2, seq2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::linearize::linearize;
     use ssa_ir::parse_function;
+
+    /// Exhaustive (exponential) alignment, to check the optimality of
+    /// [`align`] on tiny sequences.
+    fn brute_force_best_score(
+        f1: &Function,
+        seq1: &[SeqEntry],
+        f2: &Function,
+        seq2: &[SeqEntry],
+    ) -> usize {
+        fn go(f1: &Function, s1: &[SeqEntry], f2: &Function, s2: &[SeqEntry]) -> usize {
+            if s1.is_empty() || s2.is_empty() {
+                return 0;
+            }
+            let mut best = go(f1, &s1[1..], f2, s2).max(go(f1, s1, f2, &s2[1..]));
+            if mergeable(f1, s1[0], f2, s2[0]) {
+                best = best.max(1 + go(f1, &s1[1..], f2, &s2[1..]));
+            }
+            best
+        }
+        go(f1, seq1, f2, seq2)
+    }
 
     const F1: &str = r#"
 define i32 @f1(i32 %n) {
@@ -1557,6 +1579,16 @@ L4:
         assert_eq!((tally.score_only_runs, tally.full_runs), (1, 1));
         assert_eq!(tally.lengths.count(), 2);
         assert_eq!(tally.lengths.sum(), 4 * seq.len() as u64);
+        // Cells, trimmed entries and peaks are the traceback run's alone.
+        assert_eq!(tally.cells, full.cells);
+        assert_eq!(tally.trimmed_entries, full.trimmed as u64);
+        assert_eq!(tally.peak_live_bytes, full.matrix_bytes);
+        assert_eq!(tally.peak_full_matrix_bytes, full.full_matrix_bytes);
+        let mut twice = tally;
+        twice.absorb(&tally);
+        assert_eq!(twice.cells, 2 * full.cells);
+        assert_eq!(twice.trimmed_entries, 2 * full.trimmed as u64);
+        assert_eq!(twice.peak_full_matrix_bytes, full.full_matrix_bytes);
     }
 
     #[test]

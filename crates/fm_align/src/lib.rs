@@ -16,7 +16,8 @@
 //!   shorter sequence for callers that need only the match count,
 //! * [`AlignTally`] — the sums a run's reports publish: every call returns
 //!   its own [`AlignmentStats`] (tier, band outcome, lengths, class-table
-//!   builds) and the run adds them up. The crate keeps no process-wide
+//!   builds) and the run adds them up, the cells, trimmed entries and byte
+//!   peaks of every traceback run included. The crate keeps no process-wide
 //!   counters, so concurrent runs cannot see each other's alignments,
 //! * [`prefilter_check`] — the admissible profit pre-filter, which also
 //!   returns the work it did for the run to count,

@@ -4,23 +4,27 @@
 //! The pipeline's decision log (`--decisions-out`) records what happened to
 //! every pair during a real run; `explain` answers the complementary
 //! question — *why* — for a single pair, by re-running the stages that judge
-//! it in isolation: LSH discovery, speculative scoring, and the ODR hazard
-//! scan. Each stage appends an [`ExplainStep`] and the chain ends in a
-//! verdict. The replay uses exactly the production entry points
-//! ([`crate::index::CorpusIndex::build_incremental`], [`crate::discover()`],
-//! the pipeline's scorer and hazard scan), so the answer cannot drift from
-//! what the pipeline itself would do.
+//! it in isolation: LSH discovery, host placement, the pre-filter,
+//! speculative scoring, and the ODR hazard scan. Each stage appends an
+//! [`ExplainStep`] and the chain ends in a verdict. Each stage calls the
+//! function the pipeline calls for it ([`crate::index::CorpusIndex::build_incremental`],
+//! [`crate::discover()`], the pipeline's host placement, pre-filter, scorer
+//! and hazard scan), so a change to one of those changes both.
 //!
-//! The one stage that cannot be replayed here is the differential oracle: it
-//! runs at commit time against the mutated modules, which only exist inside a
-//! real pipeline run. The verdict says so explicitly when
-//! `--check-semantics` would apply.
+//! The replay is of round 1 on the corpus as loaded, and of the pair alone.
+//! It does not see what a real run does around the pair: commits scheduled
+//! before it (which can consume one of its functions or add a hazard), later
+//! fixpoint rounds and interleaved intra passes, or the differential oracle,
+//! which runs at commit time against the mutated modules. The verdict says
+//! so explicitly when `--check-semantics` would apply.
 
 use crate::discover::discover;
 use crate::index::CorpusIndex;
 use crate::pipeline::{
-    has_odr_hazard, score_cross, uniquify_module_names, ScoredCross, XMergeConfig,
+    has_odr_hazard, score_cross, uniquify_module_names, CouplingMap, HostPolicy, ScoredCross,
+    XMergeConfig,
 };
+use callgraph::{CallGraph, CorpusCallIndex};
 use ssa_ir::{Linkage, Module};
 use std::collections::HashMap;
 use std::fmt;
@@ -28,7 +32,8 @@ use std::fmt;
 /// One stage of the replay: what was checked and what came out.
 #[derive(Debug, Clone)]
 pub struct ExplainStep {
-    /// Stage name (`resolve`, `discovery`, `scoring`, `hazard`, `oracle`).
+    /// Stage name (`resolve`, `discovery`, `placement`, `prefilter`,
+    /// `scoring`, `hazard`, `oracle`).
     pub stage: &'static str,
     /// Human-readable outcome of the stage.
     pub detail: String,
@@ -107,9 +112,11 @@ fn resolve_spec(modules: &[Module], spec: &str) -> Result<Resolved, String> {
 fn describe_score(modules: &[Module], s: &ScoredCross) -> String {
     let (host_size, donor_size, merged_size) = s.sizes;
     if s.odr_dedup {
+        let (host, donor) = (&modules[s.host].name, &modules[s.donor].name);
         format!(
-            "ODR dedup: `{}` is structurally identical in {} and {}; dropping the donor copy saves {} bytes",
-            s.f1, modules[s.host].name, modules[s.donor].name, s.profit
+            "ODR dedup: `{}` is structurally identical in {host} and {donor}; dropping the \
+             donor copy saves {} bytes; host={host}, donor={donor}",
+            s.f1, s.profit
         )
     } else {
         format!(
@@ -228,10 +235,33 @@ pub fn explain_pair(
     // only, never the verdict's value).
     let distance = found.map(|c| c.distance);
 
-    // Stage 2: the admissible pre-filter, exactly as the planner applies it
+    // Stage 2: host placement under the run's policy, over the round's
+    // call-graph coupling, as the planner places every key before scoring.
+    let key = (
+        host.module,
+        donor.module,
+        host.name.clone(),
+        donor.name.clone(),
+    );
+    let (hi, di, f1_name, f2_name) = if config.host_policy == HostPolicy::CallGraph {
+        let coupling = CouplingMap::of(&CallGraph::resolve(&CorpusCallIndex::build(modules)));
+        let placed = coupling.place(modules, config.host_policy, key);
+        ex.push(
+            "placement",
+            format!(
+                "call-graph policy: {}:{} hosts (the less-coupled side donates)",
+                modules[placed.0].name, placed.2
+            ),
+        );
+        placed
+    } else {
+        key
+    };
+
+    // Stage 3: the admissible pre-filter, exactly as the planner applies it
     // before any speculative trial merge.
-    let f1 = modules[host.module].function(&host.name).unwrap();
-    let f2 = modules[donor.module].function(&donor.name).unwrap();
+    let f1 = modules[hi].function(&f1_name).unwrap();
+    let f2 = modules[di].function(&f2_name).unwrap();
     if config.prefilter {
         let band = config
             .options
@@ -254,11 +284,11 @@ pub fn explain_pair(
         );
     }
 
-    // Stage 3: speculative scoring — the same trial merge the planner
+    // Stage 4: speculative scoring — the same trial merge the planner
     // batches, with the discovery distance sizing the alignment band.
-    let scored = score_cross(host.module, donor.module, f1, f2, &config.options, distance);
+    let scored = score_cross(hi, di, f1, f2, &config.options, distance);
     let s = match scored {
-        Ok(s) => {
+        Ok((s, _)) => {
             ex.push("scoring", describe_score(modules, &s));
             if s.profit <= 0 {
                 ex.verdict = format!(
@@ -280,7 +310,7 @@ pub fn explain_pair(
         }
     };
 
-    // Stage 4: the ODR hazard scan, over the same def-site map the pipeline
+    // Stage 5: the ODR hazard scan, over the same def-site map the pipeline
     // builds.
     let mut def_sites: HashMap<String, Vec<(usize, Linkage)>> = HashMap::new();
     for (mi, m) in modules.iter().enumerate() {
@@ -338,8 +368,8 @@ pub fn explain_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::XMergeConfig;
-    use workloads::{BenchmarkSpec, Divergence};
+    use crate::pipeline::{xmerge_corpus, XMergeConfig};
+    use workloads::{BenchmarkSpec, CorpusSpec, Divergence};
 
     fn corpus() -> Vec<Module> {
         // One shared seed: every module holds the same function bodies, so
@@ -417,5 +447,33 @@ mod tests {
         )
         .expect("same-module explain runs");
         assert!(ex.verdict.contains("intra") || ex.verdict.contains("out of scope"));
+    }
+
+    /// Under the call-graph policy most commits of the call-heavy corpus
+    /// flip the size rule's orientation; explain must place every committed
+    /// pair as the pipeline did, whichever order the specs name it in.
+    #[test]
+    fn explain_names_the_pipelines_host_under_the_call_graph_policy() {
+        let corpus = CorpusSpec::call_heavy().generate();
+        let config = XMergeConfig::new().with_host_policy(HostPolicy::CallGraph);
+        let report = xmerge_corpus(&mut corpus.clone(), &config);
+        assert!(report.num_commits() > 0);
+        let explain = |config: &XMergeConfig, a: &str, b: &str| {
+            explain_pair(&mut corpus.clone(), config, a, b)
+                .expect("explain runs")
+                .to_string()
+        };
+        let mut flipped = 0;
+        for r in &report.committed {
+            let host = format!("{}:{}", r.host_module, r.f1);
+            let donor = format!("{}:{}", r.donor_module, r.f2);
+            let placed = format!("host={}, donor={}", r.host_module, r.donor_module);
+            for (a, b) in [(&host, &donor), (&donor, &host)] {
+                let rendered = explain(&config, a, b);
+                assert!(rendered.contains(&placed), "{a} vs {b}:\n{rendered}");
+            }
+            flipped += usize::from(!explain(&XMergeConfig::new(), &host, &donor).contains(&placed));
+        }
+        assert!(flipped > 0, "the size rule places every commit alike");
     }
 }

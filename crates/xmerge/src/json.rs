@@ -53,21 +53,21 @@ fn recovery_json(functions_skipped: usize, modules_recovered: usize) -> String {
 
 /// Serializes the `alignment` stats block shared by both report schemas:
 /// live vs. modelled-full-matrix peaks, cells, trim savings, tier counts and
-/// the banding counters of the linear-space alignment engine. The nested
-/// `band` object is append-only like the rest of the schema.
-#[allow(clippy::too_many_arguments)]
-fn alignment_json(
-    peak_live: u64,
-    peak_full: u64,
-    cells: u64,
-    trimmed: u64,
-    score_only: u64,
-    full: u64,
-    band_runs: u64,
-    band_saturations: u64,
-) -> String {
+/// the banding counters of the linear-space alignment engine. The peaks,
+/// cells and trimmed entries cover every traceback run counted in
+/// `full_runs`. The nested `band` object is append-only like the rest of
+/// the schema.
+fn alignment_json(a: &AlignTally) -> String {
     format!(
-        r#"{{"peak_live_bytes":{peak_live},"peak_full_matrix_bytes":{peak_full},"cells":{cells},"trimmed_entries":{trimmed},"score_only_runs":{score_only},"full_runs":{full},"band":{{"runs":{band_runs},"saturations":{band_saturations}}}}}"#
+        r#"{{"peak_live_bytes":{},"peak_full_matrix_bytes":{},"cells":{},"trimmed_entries":{},"score_only_runs":{},"full_runs":{},"band":{{"runs":{},"saturations":{}}}}}"#,
+        a.peak_live_bytes,
+        a.peak_full_matrix_bytes,
+        a.cells,
+        a.trimmed_entries,
+        a.score_only_runs,
+        a.full_runs,
+        a.band_runs,
+        a.band_saturations
     )
 }
 
@@ -89,7 +89,6 @@ fn prefilter_json(stats: &PlanStats) -> String {
 /// reference tier.
 fn telemetry_counters(
     alignments: &AlignTally,
-    trimmed_entries: u64,
     planner: &PlanStats,
     commits: u64,
     structural_keys: (u64, u64),
@@ -102,7 +101,7 @@ fn telemetry_counters(
         ("fm_align.full_matrix_runs", 0),
         ("fm_align.full_runs", alignments.full_runs),
         ("fm_align.score_only_runs", alignments.score_only_runs),
-        ("fm_align.trimmed_entries", trimmed_entries),
+        ("fm_align.trimmed_entries", alignments.trimmed_entries),
         ("plan.commits", commits),
         ("plan.internal_errors", planner.internal_errors as u64),
         ("plan.oracle.timeouts", planner.oracle_timeouts as u64),
@@ -117,7 +116,6 @@ fn telemetry_counters(
 fn corpus_telemetry_counters(report: &CorpusMergeReport) -> [(&'static str, u64); 15] {
     telemetry_counters(
         &report.alignments(),
-        report.align_trimmed_entries,
         &report.planner,
         (report.num_commits() + report.num_intra_merges()) as u64,
         (report.cache_hits, report.cache_misses),
@@ -251,16 +249,7 @@ pub fn merge_report_json(
         report.total_cells,
         committed.join(","),
         planner_json(&report.planner),
-        alignment_json(
-            report.peak_matrix_bytes,
-            report.peak_full_matrix_bytes,
-            report.total_cells,
-            report.align_trimmed_entries,
-            report.align_score_only_runs,
-            report.align_full_runs,
-            report.align_band_runs,
-            report.align_band_saturations,
-        ),
+        alignment_json(&report.alignments()),
         prefilter_json(&report.planner),
         diagnostics_json(
             report.paranoid,
@@ -271,7 +260,6 @@ pub fn merge_report_json(
         telemetry_json(
             &telemetry_counters(
                 &report.alignments(),
-                report.align_trimmed_entries,
                 &report.planner,
                 report.num_merges() as u64,
                 (report.cache_hits, report.cache_misses),
@@ -374,16 +362,7 @@ pub fn corpus_report_json(report: &CorpusMergeReport) -> String {
         region_counts.join(","),
         report.call_index_reuse.reused,
         report.call_index_reuse.refreshed,
-        alignment_json(
-            report.align_peak_live_bytes,
-            report.align_peak_full_matrix_bytes,
-            report.align_cells,
-            report.align_trimmed_entries,
-            report.align_score_only_runs,
-            report.align_full_runs,
-            report.align_band_runs,
-            report.align_band_saturations,
-        ),
+        alignment_json(&report.alignments()),
         prefilter_json(&report.planner),
         diagnostics_json(
             report.paranoid,

@@ -352,16 +352,19 @@ pub struct CorpusMergeReport {
     pub region_counts: Vec<usize>,
     /// Call-site index reuse of the incremental per-round rebuilds.
     pub call_index_reuse: CallIndexReuse,
-    /// Peak *live* alignment DP bytes over every pair merged for its score
-    /// (cross and interleaved intra): rolling rows plus divide-and-conquer
-    /// seed rows.
+    /// Peak *live* alignment DP bytes over the traceback runs counted in
+    /// [`Self::align_full_runs`] (cross and interleaved intra, commit
+    /// re-alignments included): rolling rows plus divide-and-conquer seed
+    /// rows.
     pub align_peak_live_bytes: u64,
     /// Peak footprint the historical full score matrix would have had over
-    /// the same pairs (the quadratic baseline the engine undercuts).
+    /// the same runs (the quadratic baseline the engine undercuts).
     pub align_peak_full_matrix_bytes: u64,
-    /// Alignment cells computed (DP plus trim comparisons), saturating.
+    /// Alignment cells of the same runs (DP plus trim comparisons),
+    /// saturating. The pre-filter's score-only runs are not included.
     pub align_cells: u64,
-    /// Match pairs resolved by prefix/suffix trimming instead of DP.
+    /// Match pairs the same runs resolved by prefix/suffix trimming instead
+    /// of DP.
     pub align_trimmed_entries: u64,
     /// Score-only alignment runs this pipeline run made (the pre-filter's
     /// gray-zone passes, cross and intra).
@@ -445,6 +448,10 @@ impl CorpusMergeReport {
         AlignTally {
             score_only_runs: self.align_score_only_runs,
             full_runs: self.align_full_runs,
+            cells: self.align_cells,
+            trimmed_entries: self.align_trimmed_entries,
+            peak_live_bytes: self.align_peak_live_bytes,
+            peak_full_matrix_bytes: self.align_peak_full_matrix_bytes,
             band_runs: self.align_band_runs,
             band_saturations: self.align_band_saturations,
             class_table_hits: self.align_class_table_hits,
@@ -457,6 +464,10 @@ impl CorpusMergeReport {
     fn set_alignments(&mut self, tally: &AlignTally) {
         self.align_score_only_runs = tally.score_only_runs;
         self.align_full_runs = tally.full_runs;
+        self.align_cells = tally.cells;
+        self.align_trimmed_entries = tally.trimmed_entries;
+        self.align_peak_live_bytes = tally.peak_live_bytes;
+        self.align_peak_full_matrix_bytes = tally.peak_full_matrix_bytes;
         self.align_band_runs = tally.band_runs;
         self.align_band_saturations = tally.band_saturations;
         self.align_class_table_hits = tally.class_table_hits;
@@ -612,9 +623,6 @@ pub(crate) struct ScoredCross {
     pub(crate) profit: i64,
     pub(crate) sizes: (usize, usize, usize),
     pub(crate) odr_dedup: bool,
-    /// Alignment instrumentation of the trial merge (`None` for an ODR
-    /// dedup, which never aligns, and for a score the run's memo supplied).
-    pub(crate) alignment: Option<AlignmentStats>,
 }
 
 /// Identity of one cross-module candidate pair: host module index, donor
@@ -640,8 +648,76 @@ struct Coupling {
     callees: u32,
 }
 
-/// Per-function coupling, module name → function name.
-type CouplingMap = HashMap<String, HashMap<String, Coupling>>;
+/// Every function's static intra-module coupling in one round's corpus,
+/// keyed module name → function name (nested so placement looks up by `&str`
+/// without allocating). The pipeline builds one per round and
+/// [`crate::explain_pair`] one for its replay, so both place a pair alike.
+#[derive(Debug, Default)]
+pub(crate) struct CouplingMap(HashMap<String, HashMap<String, Coupling>>);
+
+impl CouplingMap {
+    /// The coupling of every function of a resolved call graph.
+    pub(crate) fn of(graph: &CallGraph) -> CouplingMap {
+        let mut map: HashMap<String, HashMap<String, Coupling>> = HashMap::new();
+        for (node, locality) in graph.nodes.iter().zip(graph.locality()) {
+            map.entry(graph.modules[node.module].clone())
+                .or_default()
+                .insert(
+                    node.name.clone(),
+                    Coupling {
+                        callers: locality.intra_callers,
+                        callees: locality.intra_callees,
+                    },
+                );
+        }
+        CouplingMap(map)
+    }
+
+    /// The static call edges forced cross-module by making `name`@`module`
+    /// the donor side: callers + callees for a genuine merge (the body
+    /// moves), callers only for an ODR dedup (the body is deleted).
+    fn donor_cost(&self, modules: &[Module], module: usize, name: &str, dedup: bool) -> u32 {
+        let c = self
+            .0
+            .get(&modules[module].name)
+            .and_then(|functions| functions.get(name))
+            .copied()
+            .unwrap_or_default();
+        if dedup {
+            c.callers
+        } else {
+            c.callers + c.callees
+        }
+    }
+
+    /// The host policy: under [`HostPolicy::CallGraph`], flip the pair when
+    /// the size-rule host side would be a *cheaper* donor than the donor
+    /// side — the less-coupled member donates, minimizing forced
+    /// cross-module edges. Ties keep the size orientation, and placement is
+    /// idempotent (a flipped key never flips back: its new donor side costs
+    /// ≤ its new host side).
+    pub(crate) fn place(&self, modules: &[Module], policy: HostPolicy, key: CrossKey) -> CrossKey {
+        if policy != HostPolicy::CallGraph {
+            return key;
+        }
+        let (hi, di, f1, f2) = key;
+        let dedup = f1 == f2 && is_potential_dedup(modules, hi, di, &f1);
+        if self.donor_cost(modules, hi, &f1, dedup) < self.donor_cost(modules, di, &f2, dedup) {
+            (di, hi, f2, f1)
+        } else {
+            (hi, di, f1, f2)
+        }
+    }
+}
+
+/// Whether a pair would commit as an ODR dedup (mirrors the scorer's
+/// criterion), so placement costs it by the dedup rule.
+fn is_potential_dedup(modules: &[Module], hi: usize, di: usize, name: &str) -> bool {
+    match (modules[hi].function(name), modules[di].function(name)) {
+        (Some(a), Some(b)) => a.linkage == Linkage::External && structurally_equal(a, b),
+        _ => false,
+    }
+}
 
 /// The cross-module [`CandidateSource`]: LSH-shard discovery provides the
 /// candidates, [`score_cross`] the scores, and the import/merge/thunk commit
@@ -657,10 +733,8 @@ struct CrossSource<'a> {
     /// size-rule oriented; the placement hook applies the host policy.
     resolved: Vec<CrossKey>,
     /// Per-function intra-module coupling (static caller + callee sites that
-    /// moving the body would force cross-module), keyed module name →
-    /// function name — from the round's call-graph locality summaries.
-    /// Nested so the placement hot path looks up by `&str` without
-    /// allocating.
+    /// moving the body would force cross-module), from the round's
+    /// call-graph locality summaries.
     coupling: &'a CouplingMap,
     /// Profit-ordered commit schedule: key, profit, odr_dedup.
     schedule: VecDeque<(CrossKey, i64, bool)>,
@@ -670,12 +744,6 @@ struct CrossSource<'a> {
     semantic_rejections: usize,
     /// Whole-program links performed for the oracle (before + after sides).
     oracle_links: usize,
-    /// Alignment instrumentation folded over every scored pair:
-    /// (peak live bytes, peak full-matrix bytes, cells, trimmed entries).
-    align_peak_live: u64,
-    align_peak_full: u64,
-    align_cells: u64,
-    align_trimmed: u64,
     /// Every alignment and pre-filter check of the round. Behind a lock
     /// because speculative scoring runs on rayon workers through `&self`.
     alignments: Mutex<AlignTally>,
@@ -722,10 +790,6 @@ impl<'a> CrossSource<'a> {
             hazard_skips: 0,
             semantic_rejections: 0,
             oracle_links: 0,
-            align_peak_live: 0,
-            align_peak_full: 0,
-            align_cells: 0,
-            align_trimmed: 0,
             alignments: Mutex::new(AlignTally::default()),
             paranoid,
             distances,
@@ -755,44 +819,17 @@ impl<'a> CrossSource<'a> {
             .copied()
     }
 
-    /// The static call edges forced cross-module by making `name`@`module`
-    /// the donor side: callers + callees for a genuine merge (the body
-    /// moves), callers only for an ODR dedup (the body is deleted).
-    fn donor_cost(&self, module: usize, name: &str, dedup: bool) -> u32 {
-        let c = self
-            .coupling
-            .get(&self.modules[module].name)
-            .and_then(|functions| functions.get(name))
-            .copied()
-            .unwrap_or_default();
-        if dedup {
-            c.callers
-        } else {
-            c.callers + c.callees
-        }
-    }
-
-    /// Whether a pair would commit as an ODR dedup (mirrors the scorer's
-    /// criterion), so placement costs it by the dedup rule.
-    fn is_potential_dedup(&self, hi: usize, di: usize, name: &str) -> bool {
-        match (
-            self.modules[hi].function(name),
-            self.modules[di].function(name),
-        ) {
-            (Some(a), Some(b)) => a.linkage == Linkage::External && structurally_equal(a, b),
-            _ => false,
-        }
-    }
-
     /// Forced/saved cross-module call edges of a placed pair: forced is the
     /// donor side's cost; saved is how much worse the flipped placement
     /// would have been (0 under the size policy, which never flips).
     fn edge_stats(&self, s: &ScoredCross) -> (u32, u32) {
-        let forced = self.donor_cost(s.donor, &s.f2, s.odr_dedup);
+        let cost = |module, name: &str| {
+            self.coupling
+                .donor_cost(self.modules, module, name, s.odr_dedup)
+        };
+        let forced = cost(s.donor, &s.f2);
         let saved = match self.config.host_policy {
-            HostPolicy::CallGraph => self
-                .donor_cost(s.host, &s.f1, s.odr_dedup)
-                .saturating_sub(forced),
+            HostPolicy::CallGraph => cost(s.host, &s.f1).saturating_sub(forced),
             HostPolicy::Size => 0,
         };
         (forced, saved)
@@ -814,33 +851,19 @@ impl CandidateSource for CrossSource<'_> {
         self.resolved.clone()
     }
 
-    /// The host policy: under [`HostPolicy::CallGraph`], flip the pair when
-    /// the size-rule host side would be a *cheaper* donor than the donor
-    /// side — the less-coupled member donates, minimizing forced
-    /// cross-module edges. Ties keep the size orientation, and the hook is
-    /// idempotent (a flipped key never flips back: its new donor side costs
-    /// ≤ its new host side).
+    /// The host policy ([`CouplingMap::place`]).
     fn place(&self, key: CrossKey) -> CrossKey {
-        if self.config.host_policy != HostPolicy::CallGraph {
-            return key;
-        }
-        let (hi, di, f1, f2) = key;
-        let dedup = f1 == f2 && self.is_potential_dedup(hi, di, &f1);
-        if self.donor_cost(hi, &f1, dedup) < self.donor_cost(di, &f2, dedup) {
-            (di, hi, f2, f1)
-        } else {
-            (hi, di, f1, f2)
-        }
+        self.coupling
+            .place(self.modules, self.config.host_policy, key)
     }
 
     /// Scores a pair through the run's memo: a pair of bodies the run has
-    /// scored before is not merged again, and its score carries no
-    /// alignment.
+    /// scored before is not merged again. A trial merge's alignment counts
+    /// in the round's tally, refused or not.
     fn score(&self, key: &CrossKey) -> Option<ScoredCross> {
         let (hi, di, f1n, f2n) = key;
         let f1 = self.modules[*hi].function(f1n)?;
         let f2 = self.modules[*di].function(f2n)?;
-        let mut alignment = None;
         let (remembered, hit) = self.memo.get_or_score(f1, f2, || {
             let scored = score_cross(
                 *hi,
@@ -850,8 +873,8 @@ impl CandidateSource for CrossSource<'_> {
                 &self.config.options,
                 self.distance_of(key),
             );
-            alignment = match &scored {
-                Ok(s) => s.alignment,
+            let alignment = match &scored {
+                Ok((_, alignment)) => *alignment,
                 Err(refused) => Some(refused.alignment),
             };
             if let Some(stats) = &alignment {
@@ -860,7 +883,7 @@ impl CandidateSource for CrossSource<'_> {
                     .expect("no thread panics while counting an alignment")
                     .add(stats);
             }
-            scored.ok().map(|s| MemoScore {
+            scored.ok().map(|(s, _)| MemoScore {
                 profit: s.profit,
                 sizes: s.sizes,
                 odr_dedup: s.odr_dedup,
@@ -878,7 +901,6 @@ impl CandidateSource for CrossSource<'_> {
             profit: score.profit,
             sizes: score.sizes,
             odr_dedup: score.odr_dedup,
-            alignment,
         })
     }
 
@@ -916,18 +938,12 @@ impl CandidateSource for CrossSource<'_> {
 
     /// Derives the commit schedule: every successfully scored pair, most
     /// profitable first, ties broken by module/function names (total, since
-    /// module names are unique after uniquification). Also folds the
-    /// alignment instrumentation of every scored pair.
+    /// module names are unique after uniquification).
     fn plan(&mut self, cache: &salssa::plan::ScoreCache<CrossKey, ScoredCross>) {
         let mut scored: Vec<(CrossKey, i64, bool)> = Vec::with_capacity(cache.len());
         for (key, score) in cache.iter() {
             let Some(s) = score.as_ref() else { continue };
             scored.push((key.clone(), s.profit, s.odr_dedup));
-            let a = s.alignment.unwrap_or_default();
-            self.align_peak_live = self.align_peak_live.max(a.matrix_bytes);
-            self.align_peak_full = self.align_peak_full.max(a.full_matrix_bytes);
-            self.align_cells = self.align_cells.saturating_add(a.cells);
-            self.align_trimmed += a.trimmed as u64;
         }
         self.attempts = scored.len();
         scored.sort_by(|(xk, xp, _), (yk, yp, _)| {
@@ -1275,20 +1291,7 @@ pub fn xmerge_corpus(modules: &mut [Module], config: &XMergeConfig) -> CorpusMer
         let (round_calls, call_reuse) =
             CorpusCallIndex::build_incremental(modules, call_index.as_ref());
         let graph = CallGraph::resolve(&round_calls);
-        let locality = graph.locality();
-        let mut coupling = CouplingMap::new();
-        for (i, n) in graph.nodes.iter().enumerate() {
-            coupling
-                .entry(graph.modules[n.module].clone())
-                .or_default()
-                .insert(
-                    n.name.clone(),
-                    Coupling {
-                        callers: locality[i].intra_callers,
-                        callees: locality[i].intra_callees,
-                    },
-                );
-        }
+        let coupling = CouplingMap::of(&graph);
         let mut links: Vec<(usize, usize)> = graph.cross_module_links();
         links.extend(graph.shared_definition_links());
         links.extend(resolved.iter().map(|(h, d, _, _)| (*h.min(d), *h.max(d))));
@@ -1315,12 +1318,6 @@ pub fn xmerge_corpus(modules: &mut [Module], config: &XMergeConfig) -> CorpusMer
         report.score_time += stats.score_time;
         report.commit_time += stats.commit_time;
         report.planner.absorb(&stats);
-        report.align_peak_live_bytes = report.align_peak_live_bytes.max(source.align_peak_live);
-        report.align_peak_full_matrix_bytes = report
-            .align_peak_full_matrix_bytes
-            .max(source.align_peak_full);
-        report.align_cells = report.align_cells.saturating_add(source.align_cells);
-        report.align_trimmed_entries += source.align_trimmed;
         alignments.absorb(
             &source
                 .alignments
@@ -1388,14 +1385,6 @@ pub fn xmerge_corpus(modules: &mut [Module], config: &XMergeConfig) -> CorpusMer
                 intra_dirty[mi] = intra_report.num_merges() > 0;
                 report.planner.absorb(&intra_report.planner);
                 report.semantic_rejections += intra_report.semantic_rejections;
-                report.align_peak_live_bytes = report
-                    .align_peak_live_bytes
-                    .max(intra_report.peak_matrix_bytes);
-                report.align_peak_full_matrix_bytes = report
-                    .align_peak_full_matrix_bytes
-                    .max(intra_report.peak_full_matrix_bytes);
-                report.align_cells = report.align_cells.saturating_add(intra_report.total_cells);
-                report.align_trimmed_entries += intra_report.align_trimmed_entries;
                 alignments.absorb(&intra_report.alignments());
                 report.intra_committed.extend(
                     intra_report
@@ -1440,7 +1429,8 @@ pub fn xmerge_corpus(modules: &mut [Module], config: &XMergeConfig) -> CorpusMer
 }
 
 /// Scores one cross-module pair without mutating anything; the merged body
-/// is dropped (see [`ScoredCross`]).
+/// is dropped (see [`ScoredCross`]). Returns the score with the trial
+/// merge's alignment stats (`None` for an ODR dedup, which never aligns).
 pub(crate) fn score_cross(
     host: usize,
     donor: usize,
@@ -1448,14 +1438,14 @@ pub(crate) fn score_cross(
     f2: &Function,
     options: &MergeOptions,
     distance: Option<u64>,
-) -> Result<ScoredCross, Refused> {
+) -> Result<(ScoredCross, Option<AlignmentStats>), Refused> {
     let target = options.target;
     if f1.name == f2.name && f1.linkage == Linkage::External && structurally_equal(f1, f2) {
         // ODR-identical external copies: dropping the donor's copy saves its
         // whole footprint minus nothing — no merge needed. (Internal copies
         // are distinct symbols; dropping one would leave the donor's
         // declaration unresolvable, so they go through a genuine merge.)
-        return Ok(ScoredCross {
+        let dedup = ScoredCross {
             host,
             donor,
             f1: f1.name.clone(),
@@ -1463,8 +1453,8 @@ pub(crate) fn score_cross(
             profit: function_size_bytes(f2, target) as i64,
             sizes: (f1.num_insts(), f2.num_insts(), 0),
             odr_dedup: true,
-            alignment: None,
-        });
+        };
+        return Ok((dedup, None));
     }
     let pair = merge_pair_with_distance(f1, f2, options, "merged.xm.trial", distance)?;
     let thunk1 = build_thunk(f1, &pair.merged, &pair.param_f1, false);
@@ -1473,7 +1463,7 @@ pub(crate) fn score_cross(
         - function_size_bytes(&pair.merged, target) as i64
         - function_size_bytes(&thunk1, target) as i64
         - function_size_bytes(&thunk2, target) as i64;
-    Ok(ScoredCross {
+    let scored = ScoredCross {
         host,
         donor,
         f1: f1.name.clone(),
@@ -1481,8 +1471,8 @@ pub(crate) fn score_cross(
         profit,
         sizes: (f1.num_insts(), f2.num_insts(), pair.merged.num_insts()),
         odr_dedup: false,
-        alignment: Some(pair.alignment),
-    })
+    };
+    Ok((scored, Some(pair.alignment)))
 }
 
 /// Conservative ODR hazard rules: committing must not leave the corpus with
@@ -1723,7 +1713,6 @@ mod tests {
             profit: 1,
             sizes: (10, 10, 0),
             odr_dedup: false,
-            alignment: None,
         };
         let mut alignments = AlignTally::default();
         let extra = apply_commit(
@@ -1790,7 +1779,6 @@ mod tests {
             profit: 1,
             sizes: (10, 10, 8),
             odr_dedup: false,
-            alignment: None,
         };
         assert!(
             !has_odr_hazard(&modules, &def_sites, &s),
@@ -1848,7 +1836,6 @@ mod tests {
             profit: 1,
             sizes: (3, 3, 3),
             odr_dedup: false,
-            alignment: None,
         };
         assert!(
             has_odr_hazard(&modules, &def_sites, &merge),

@@ -10,8 +10,9 @@
 //! alter merged code recaptures them from the `actual` values the failure
 //! message prints.
 //!
-//! The corpus pins also pin the work their run did: DP cells, traceback
-//! and score-only alignment runs, and pre-filter checks and rejections. The
+//! The corpus pins also pin the work their run did: DP cells (of every
+//! traceback run, commit re-alignments included), traceback and score-only
+//! alignment runs, and pre-filter checks and rejections. The
 //! schedule, not the core count, decides which pairs are scored, so these
 //! counts repeat exactly for a seed and, unlike wall time, can be gated
 //! exactly. A change that means to alter the work recaptures them the same
@@ -98,8 +99,10 @@ fn perf_tier_s_xmerge_output_is_pinned() {
         report.planner.prefilter_rejected,
     );
     // Three pairs repeat an ODR-duplicated body another module's copy of
-    // which was scored first; the memo scores each of them once.
-    assert_work("PerfTier::S xmerge", work, (179_251, 148, 54, 131, 0));
+    // which was scored first; the memo scores each of them once. The cells
+    // are those of all 148 traceback runs, the commits' re-alignments
+    // included (the scoring alignments alone come to 179,251).
+    assert_work("PerfTier::S xmerge", work, (186_963, 148, 54, 131, 0));
     assert_eq!(report.planner.memo_hits, 3, "PerfTier::S xmerge memo hits");
 }
 
@@ -230,7 +233,9 @@ fn call_heavy_fixpoint_output_and_decisions_are_pinned() {
         log_hash, 0x4f30_3990_a973_be5c,
         "call-heavy fixpoint: the decision log changed (actual = {log_hash:#x})"
     );
-    assert_work("call-heavy fixpoint", work, (246_477, 113, 33, 166, 40));
+    // Cells of all 113 traceback runs, commit re-alignments included (the
+    // scoring alignments alone come to 246,477).
+    assert_work("call-heavy fixpoint", work, (264_978, 113, 33, 166, 40));
     assert_eq!(
         report.planner.memo_hits, 28,
         "call-heavy fixpoint memo hits"

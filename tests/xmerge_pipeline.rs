@@ -3,6 +3,7 @@
 //! corpus the pipeline commits cross-module merges, every output module
 //! passes the verifier, and the semantic oracle reports zero mismatches.
 
+use salssa::merge_pair;
 use ssa_ir::verifier::verify_module;
 use ssa_ir::{link_modules, print_module};
 use workloads::CorpusSpec;
@@ -173,6 +174,52 @@ fn hand_corpus(texts: &[(&str, String)]) -> Vec<ssa_ir::Module> {
             m
         })
         .collect()
+}
+
+/// The alignment ledger counts every traceback alignment once: on one clone
+/// pair across two modules, the report's cells are the pair's scoring
+/// alignment plus its commit's re-alignment of the same two bodies.
+#[test]
+fn align_cells_count_the_scoring_alignment_and_the_commit_realignment() {
+    let texts = [
+        ("mod_a", int_worker("left", "h1", 1)),
+        ("mod_b", int_worker("right", "h1", 2)),
+    ];
+    let mut corpus = hand_corpus(&texts);
+    let config = XMergeConfig::new();
+    let report = xmerge_corpus(&mut corpus, &config);
+    assert_eq!(report.num_merges(), 1, "{report}");
+    assert_eq!(report.planner.speculative_scores, 1, "{report}");
+    assert_eq!(
+        report.align_full_runs, 2,
+        "one scoring, one commit: {report}"
+    );
+    assert_eq!(report.align_band_runs, 0, "{report}");
+
+    let original = hand_corpus(&texts);
+    let r = &report.committed[0];
+    let function = |module: &str, name: &str| {
+        original
+            .iter()
+            .find(|m| m.name == module)
+            .and_then(|m| m.function(name))
+            .unwrap()
+    };
+    let (f1, f2) = (
+        function(&r.host_module, &r.f1),
+        function(&r.donor_module, &r.f2),
+    );
+    let scoring = merge_pair(f1, f2, &config.options, "merged.xm.trial").unwrap();
+    let commit = merge_pair(f1, f2, &config.options, &r.merged_name).unwrap();
+    assert!(scoring.alignment.cells > 0);
+    assert_eq!(
+        report.align_cells,
+        scoring.alignment.cells + commit.alignment.cells
+    );
+    assert_eq!(
+        report.align_trimmed_entries,
+        (scoring.alignment.trimmed + commit.alignment.trimmed) as u64
+    );
 }
 
 /// One committing region plus an unrelated singleton region: the default
