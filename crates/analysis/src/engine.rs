@@ -112,7 +112,6 @@ type FnKey = (bool, Arc<str>);
 #[derive(Debug, Default)]
 pub struct AnalysisEngine {
     fn_cache: Mutex<HashMap<FnKey, Arc<Vec<Diagnostic>>>>,
-    mod_cache: Mutex<HashMap<u64, Arc<Vec<Diagnostic>>>>,
     full_cache: Mutex<HashMap<u64, Arc<Vec<Diagnostic>>>>,
     prog_cache: Mutex<HashMap<u64, Arc<Vec<Diagnostic>>>>,
     hits: AtomicU64,
@@ -160,27 +159,14 @@ impl AnalysisEngine {
             .collect()
     }
 
-    /// Module-scope verdicts (cached by content hash), re-homed to the
-    /// module's name.
+    /// Module-scope verdicts, re-homed to the module's name. Computed
+    /// afresh and counted as a miss: the only caller asks on a miss of the
+    /// content-hash cache that holds them with the module's other verdicts.
     fn module_diags(&self, m: &Module) -> Vec<Diagnostic> {
-        let key = m.content_hash();
-        let cached = self.mod_cache.lock().unwrap().get(&key).cloned();
-        let verdict = match cached {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                v
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let v = Arc::new(passes::check_module(m));
-                self.mod_cache.lock().unwrap().insert(key, v.clone());
-                v
-            }
-        };
-        verdict
-            .iter()
-            .map(|d| {
-                let mut d = d.clone();
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        passes::check_module(m)
+            .into_iter()
+            .map(|mut d| {
                 d.module = m.name.clone();
                 d
             })

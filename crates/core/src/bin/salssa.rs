@@ -16,9 +16,9 @@
 //! - `lint <dir|files...>` — static analysis without merging: verifier wrap,
 //!   merge-shape invariants, and whole-program consistency checks, with
 //!   stable diagnostic codes (`--deny` escalates, `--json` for machines).
-//! - `explain <dir> <fn-a> <fn-b>` — replay discovery and scoring for one
-//!   candidate pair and print the verdict chain (why it would or would not
-//!   be merged).
+//! - `explain <dir> <fn-a> <fn-b>` — run the cross-module pipeline once and
+//!   print the decisions it recorded for one candidate pair (why it did or
+//!   did not merge).
 //! - `profile <trace.json>` — fold a previously written Chrome trace into a
 //!   flamegraph-style self/total time + bytes rollup per span.
 //! - `fuzz` — adversarial-input smoke mode: generate corpora in-process,
@@ -77,9 +77,9 @@ commands:
   lint <dir|files...>    statically analyze modules without merging: verifier
                          wrap, merge-shape invariants, and whole-program
                          declaration/ODR consistency, with stable codes
-  explain <dir> <a> <b>  replay cross-module discovery + scoring for the pair
-                         of functions <a>, <b> (each 'name' or 'module:name')
-                         and print the verdict chain
+  explain <dir> <a> <b>  run xmerge once and print the decisions it recorded
+                         for the pair of functions <a>, <b> (each 'name' or
+                         'module:name'): why the pair did or did not merge
   profile <trace.json>   fold a Chrome trace written by --trace-out into a
                          self/total time + bytes rollup per span
   fuzz                   adversarial-input smoke mode: generate corpora
@@ -609,7 +609,7 @@ fn run_merge(cli: &Cli) -> ExitCode {
 }
 
 /// The cross-module pipeline configuration a `Cli` asks for — shared by
-/// `xmerge` and `explain` so an explanation replays the run's exact knobs.
+/// `xmerge` and `explain` so an explanation runs with the run's exact knobs.
 fn xmerge_config(cli: &Cli) -> XMergeConfig {
     let mut config = XMergeConfig::new()
         .with_check_semantics(cli.config.check_semantics)

@@ -222,10 +222,11 @@ pub struct ModuleMergeReport {
     pub attempts: usize,
     /// Merges committed because the cost model judged them profitable.
     pub committed: Vec<MergeRecord>,
-    /// Total time spent in sequence alignment.
+    /// Total time spent in sequence alignment by every merge the run made,
+    /// refused ones and commit re-merges included.
     pub align_time: Duration,
-    /// Total time spent in code generation (including SSA repair and local
-    /// clean-up of candidate merges).
+    /// Total time the same merges spent in code generation (including SSA
+    /// repair and local clean-up).
     pub codegen_time: Duration,
     /// Peak *live* dynamic-programming footprint over the traceback runs
     /// counted in [`Self::align_full_runs`], in bytes: rolling rows plus the
@@ -429,6 +430,16 @@ struct ScoredCandidate {
     pair: Option<PairMerge>,
 }
 
+/// What a pass's trial merges and pre-filter checks cost: every alignment,
+/// and the alignment and code-generation time of every merge, refused ones
+/// included.
+#[derive(Default)]
+struct PassWork {
+    alignments: AlignTally,
+    align_time: Duration,
+    codegen_time: Duration,
+}
+
 /// The memo a fixpoint run shares with one intra pass: the run's scores,
 /// which the pass only reads, and the scores the pass computes, which the
 /// caller adds to the run's memo afterwards (see [`merge_module_with_memo`]).
@@ -452,29 +463,33 @@ struct IntraSource<'a> {
     unavailable: HashSet<String>,
     report: &'a mut ModuleMergeReport,
     paranoid: Option<analysis::ParanoidMonitor>,
-    /// Every alignment and pre-filter check of the run. Behind a lock
-    /// because scoring and pre-filtering count through `&self`.
-    alignments: Mutex<AlignTally>,
+    /// The run's work. Behind a lock because scoring and pre-filtering
+    /// count through `&self`.
+    work: Mutex<PassWork>,
     /// The run's memo, for a pass of a run that shares one.
     memo: Option<PassMemo<'a>>,
-    /// Scores the memo supplied (counted through `&self`, like
-    /// `alignments`).
+    /// Scores the memo supplied (counted through `&self`, like `work`).
     memo_hits: AtomicUsize,
 }
 
 impl IntraSource<'_> {
-    /// Trial-merges a pair, counting its alignment whether or not the
-    /// merger refuses the pair.
+    /// Trial-merges a pair, counting its alignment and stage times whether
+    /// or not the merger refuses the pair.
     fn merge_pair(&self, f1: &Function, f2: &Function) -> Option<PairMerge> {
         let merged_name = format!("merged.{}.{}", f1.name, f2.name);
         let merged = self.merger.merge_pair(f1, f2, &merged_name);
-        let stats = merged
-            .as_ref()
-            .map_or_else(|r| r.alignment, |p| p.alignment);
-        self.alignments
+        let (stats, align_time, codegen_time) = match &merged {
+            Ok(p) => (p.alignment, p.align_time, p.codegen_time),
+            Err(r) => (r.alignment, r.align_time, r.codegen_time),
+        };
+        let mut work = self
+            .work
             .lock()
-            .expect("no thread panics while counting an alignment")
-            .add(&stats);
+            .expect("no thread panics while counting an alignment");
+        work.alignments.add(&stats);
+        work.align_time += align_time;
+        work.codegen_time += codegen_time;
+        drop(work);
         merged.ok()
     }
 
@@ -539,9 +554,10 @@ impl CandidateSource for IntraSource<'_> {
         };
         let band = Some(Band::new(crate::options::DEFAULT_BAND_SLACK));
         let check = fm_align::prefilter_check(f1, f2, self.merger.target(), band);
-        self.alignments
+        self.work
             .lock()
             .expect("no thread panics while counting an alignment")
+            .alignments
             .add_prefilter(&check);
         check.rejects
     }
@@ -593,14 +609,8 @@ impl CandidateSource for IntraSource<'_> {
         Some(telemetry::Pair::intra(key.0.clone(), key.1.clone()))
     }
 
-    fn observe(&mut self, _key: &(String, String), scored: &ScoredCandidate) {
+    fn observe(&mut self, _key: &(String, String), _scored: &ScoredCandidate) {
         self.report.attempts += 1;
-        // A score the memo supplied ran no alignment.
-        let Some(pair) = &scored.pair else {
-            return;
-        };
-        self.report.align_time += pair.align_time;
-        self.report.codegen_time += pair.codegen_time;
     }
 
     fn commit(
@@ -738,7 +748,7 @@ fn run_pass(
         unavailable: HashSet::new(),
         report: &mut report,
         paranoid,
-        alignments: Mutex::new(AlignTally::default()),
+        work: Mutex::new(PassWork::default()),
         memo: memo.map(|seen| PassMemo {
             seen,
             fresh: ScoreMemo::new(),
@@ -753,11 +763,13 @@ fn run_pass(
         .take()
         .map(|memo| memo.fresh)
         .unwrap_or_default();
-    let alignments = source
-        .alignments
+    let work = source
+        .work
         .into_inner()
         .expect("no thread panics while counting an alignment");
-    report.set_alignments(&alignments);
+    report.set_alignments(&work.alignments);
+    report.align_time = work.align_time;
+    report.codegen_time = work.codegen_time;
     report.committed = committed;
     report.planner = stats;
 
@@ -1149,6 +1161,7 @@ entry:
         assert_eq!(report.align_full_runs, 2);
         assert_eq!(report.align_lengths.count(), 2);
         assert_eq!(report.align_class_table_misses, 2);
+        assert!(report.align_time > Duration::ZERO, "refused merges aligned");
     }
 
     #[test]

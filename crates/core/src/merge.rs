@@ -61,12 +61,16 @@ fn band_for(options: &MergeOptions, distance: Option<u64>) -> Option<Band> {
 
 /// A pair that was aligned but not merged: the signatures are incompatible,
 /// or the merged body fails verification (which would make the merge unsafe
-/// to commit). Carries the stats of the alignment, which the run still
-/// counts.
+/// to commit). Carries the stats and stage times of the work it ran, which
+/// the run still counts.
 #[derive(Debug, Clone, Copy)]
 pub struct Refused {
     /// Instrumentation of the alignment the refused merge ran.
     pub alignment: AlignmentStats,
+    /// Time spent in sequence alignment.
+    pub align_time: Duration,
+    /// Time spent in code generation before the pair was refused.
+    pub codegen_time: Duration,
 }
 
 /// Merges `f1` and `f2` with SalSSA. Returns `None` when the pair cannot be
@@ -96,13 +100,17 @@ pub fn merge_pair_with_distance(
     let seq2 = linearize(f2);
     let alignment = align_banded(f1, &seq1, f2, &seq2, band_for(options, distance));
     let align_time = align_span.stop();
-    let refused = Refused {
+    let refused = |codegen_time| Refused {
         alignment: alignment.stats,
+        align_time,
+        codegen_time,
     };
 
     let gen_span = telemetry::timed_span("merge.codegen");
-    let (mut merged, maps) =
-        codegen::generate(f1, f2, &alignment, options, merged_name).ok_or(refused)?;
+    let Some((mut merged, maps)) = codegen::generate(f1, f2, &alignment, options, merged_name)
+    else {
+        return Err(refused(gen_span.stop()));
+    };
     // Collapse the per-entry block chains before SSA repair so phi-nodes are
     // only placed at genuine join points of the merged CFG.
     ssa_passes::simplify_cfg::simplify(&mut merged);
@@ -118,7 +126,7 @@ pub fn merge_pair_with_distance(
     let codegen_time = gen_span.stop();
 
     if !verifier::verify_function(&merged).is_empty() {
-        return Err(refused);
+        return Err(refused(codegen_time));
     }
 
     Ok(PairMerge {

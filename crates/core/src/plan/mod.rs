@@ -47,9 +47,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 use telemetry::{DecisionEvent, RejectReason};
 
-/// Scores of the announced keys: `None` records that the merger refused the
-/// pair, so the commit loop does not retry it.
-pub type ScoreCache<K, S> = HashMap<K, Option<S>>;
+/// Scores of the announced keys the merger did not refuse.
+pub type ScoreCache<K, S> = HashMap<K, S>;
 
 /// Statistics accumulated by one [`run_plan`] invocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -124,6 +123,10 @@ pub enum CommitOutcome<R> {
     /// verdict; the commit was conservatively refused and nothing was
     /// mutated. The engine counts the timeout.
     OracleTimeout,
+    /// Committing would break linking, for the reason given; nothing was
+    /// mutated. The source counts its own skips, as for
+    /// [`CandidateSource::hazard`].
+    Hazard(&'static str),
     /// The commit could not be applied (e.g. regeneration refused the pair);
     /// nothing was mutated and no endpoint was consumed.
     Skipped,
@@ -203,17 +206,18 @@ pub trait CandidateSource: Sync {
     /// (attempt accounting and instrumentation aggregation).
     fn observe(&mut self, key: &Self::Key, score: &Self::Score);
 
-    /// Returns `true` when committing this winner would be unsafe (e.g. the
-    /// cross-module ODR hazard rules). The source counts its own skips. The
-    /// default accepts everything.
-    fn hazard(&mut self, _key: &Self::Key, _score: &Self::Score) -> bool {
-        false
+    /// Says why committing this winner would be unsafe (e.g. the
+    /// cross-module ODR hazard rules), or `None` when it is safe. The source
+    /// counts its own skips. The default accepts everything.
+    fn hazard(&mut self, _key: &Self::Key, _score: &Self::Score) -> Option<&'static str> {
+        None
     }
 
     /// Names the two functions a key refers to, for telemetry decision
     /// provenance. Sources that return `Some` get the full candidate
     /// lifecycle (scored / rejected / committed) emitted by the engine when
-    /// `--decisions-out` is active; the default opts out.
+    /// the planning thread records decisions (`--decisions-out`, or an open
+    /// [`telemetry::capture_decisions`]); the default opts out.
     fn describe(&self, _key: &Self::Key) -> Option<telemetry::Pair> {
         None
     }
@@ -266,6 +270,17 @@ fn prefiltered<S: CandidateSource>(source: &S, key: &S::Key, stats: &mut PlanSta
     true
 }
 
+/// Logs a pair the merger refused to merge.
+fn refused<S: CandidateSource>(source: &S, key: &S::Key) {
+    emit_decision(
+        source,
+        key,
+        DecisionEvent::Rejected(RejectReason::Refused),
+        None,
+        "merger refused the pair",
+    );
+}
+
 /// Counts a scoring panic as an internal error, with its decision.
 fn scoring_panicked<S: CandidateSource>(source: &S, key: &S::Key, stats: &mut PlanStats) {
     stats.internal_errors += 1;
@@ -296,12 +311,12 @@ fn emit_decision<S: CandidateSource>(
 }
 
 /// The scores of the announced keys, and the announced keys that were
-/// pre-filtered or whose scoring panicked.
+/// pre-filtered, refused or whose scoring panicked.
 type Announced<K, S> = (ScoreCache<K, S>, HashSet<K>);
 
 /// Pre-filters the keys the source announces and scores the rest on all
-/// cores, in batches. Each pre-filter rejection and panic is counted where it
-/// happens, and the commit loop skips those keys.
+/// cores, in batches. Each pre-filter rejection, refusal and panic is logged
+/// and counted where it happens, and the commit loop skips those keys.
 fn score_announced<S: CandidateSource>(
     source: &S,
     stats: &mut PlanStats,
@@ -329,14 +344,14 @@ fn score_announced<S: CandidateSource>(
             .collect();
         for (key, scored) in batch.iter().zip(scored) {
             match scored {
-                Some(scored) => {
-                    cache.insert(key.clone(), scored);
+                Some(Some(score)) => {
+                    cache.insert(key.clone(), score);
+                    continue;
                 }
-                None => {
-                    scoring_panicked(source, key, stats);
-                    settled.insert(key.clone());
-                }
+                Some(None) => refused(source, key),
+                None => scoring_panicked(source, key, stats),
             }
+            settled.insert(key.clone());
         }
     }
     (cache, settled)
@@ -372,7 +387,7 @@ pub fn run_plan<S: CandidateSource>(source: &mut S) -> (Vec<S::Record>, PlanStat
         for key in group {
             let key = source.place(key);
             let scored = match cache.remove(&key) {
-                Some(cached) => Some(cached),
+                Some(cached) => Some(Some(cached)),
                 None => {
                     if settled.contains(&key) || prefiltered(source, &key, &mut stats) {
                         continue;
@@ -387,14 +402,8 @@ pub fn run_plan<S: CandidateSource>(source: &mut S) -> (Vec<S::Record>, PlanStat
                 continue;
             };
             let Some(score) = scored else {
-                emit_decision(
-                    source,
-                    &key,
-                    DecisionEvent::Rejected(RejectReason::Refused),
-                    None,
-                    "merger refused the pair",
-                );
-                continue; // The merger refused this pair.
+                refused(source, &key);
+                continue;
             };
             source.observe(&key, &score);
             let profit = S::profit(&score);
@@ -431,14 +440,14 @@ pub fn run_plan<S: CandidateSource>(source: &mut S) -> (Vec<S::Record>, PlanStat
                 }
             }
             match isolate(|| source.hazard(&key, &score)) {
-                Some(false) => {}
-                Some(true) => {
+                Some(None) => {}
+                Some(Some(why)) => {
                     emit_decision(
                         source,
                         &key,
                         DecisionEvent::Rejected(RejectReason::Hazard),
                         Some(profit),
-                        "",
+                        why,
                     );
                     continue;
                 }
@@ -465,61 +474,39 @@ pub fn run_plan<S: CandidateSource>(source: &mut S) -> (Vec<S::Record>, PlanStat
                 telemetry::faultinject::trip("plan.commit");
                 source.commit(key, score)
             });
-            let Some(outcome) = outcome else {
-                stats.internal_errors += 1;
-                if let Some(pair) = described {
-                    telemetry::record_decision(
-                        DecisionEvent::Rejected(RejectReason::InternalError),
-                        pair,
-                        Some(profit),
-                        "commit panicked; the pair was isolated".to_string(),
-                    );
-                }
-                continue;
-            };
-            match outcome {
-                CommitOutcome::Committed(record) => {
-                    if let Some(pair) = described {
-                        telemetry::record_decision(
-                            DecisionEvent::Committed,
-                            pair,
-                            Some(profit),
-                            String::new(),
-                        );
-                    }
+            let (event, detail) = match outcome {
+                Some(CommitOutcome::Committed(record)) => {
                     records.push(record);
+                    (DecisionEvent::Committed, "")
                 }
-                CommitOutcome::OracleRejected => {
-                    if let Some(pair) = described {
-                        telemetry::record_decision(
-                            DecisionEvent::Rejected(RejectReason::Oracle),
-                            pair,
-                            Some(profit),
-                            "differential oracle observed a divergence".to_string(),
-                        );
-                    }
-                }
-                CommitOutcome::OracleTimeout => {
+                Some(CommitOutcome::OracleRejected) => (
+                    DecisionEvent::Rejected(RejectReason::Oracle),
+                    "differential oracle observed a divergence",
+                ),
+                Some(CommitOutcome::OracleTimeout) => {
                     stats.oracle_timeouts += 1;
-                    if let Some(pair) = described {
-                        telemetry::record_decision(
-                            DecisionEvent::Rejected(RejectReason::OracleTimeout),
-                            pair,
-                            Some(profit),
-                            "differential oracle exhausted its fuel budget".to_string(),
-                        );
-                    }
+                    (
+                        DecisionEvent::Rejected(RejectReason::OracleTimeout),
+                        "differential oracle exhausted its fuel budget",
+                    )
                 }
-                CommitOutcome::Skipped => {
-                    if let Some(pair) = described {
-                        telemetry::record_decision(
-                            DecisionEvent::Rejected(RejectReason::Refused),
-                            pair,
-                            Some(profit),
-                            "commit-time regeneration refused the pair".to_string(),
-                        );
-                    }
+                Some(CommitOutcome::Hazard(detail)) => {
+                    (DecisionEvent::Rejected(RejectReason::Hazard), detail)
                 }
+                Some(CommitOutcome::Skipped) => (
+                    DecisionEvent::Rejected(RejectReason::Refused),
+                    "commit-time regeneration refused the pair",
+                ),
+                None => {
+                    stats.internal_errors += 1;
+                    (
+                        DecisionEvent::Rejected(RejectReason::InternalError),
+                        "commit panicked; the pair was isolated",
+                    )
+                }
+            };
+            if let Some(pair) = described {
+                telemetry::record_decision(event, pair, Some(profit), detail.to_string());
             }
         }
     }
@@ -639,12 +626,12 @@ mod tests {
             self.observed += 1;
         }
 
-        fn hazard(&mut self, key: &(usize, usize), _score: &i64) -> bool {
+        fn hazard(&mut self, key: &(usize, usize), _score: &i64) -> Option<&'static str> {
             if self.hazard_on == Some(*key) {
                 self.hazards += 1;
-                return true;
+                return Some("toy hazard");
             }
-            false
+            None
         }
 
         fn commit(

@@ -117,6 +117,8 @@ impl FunctionMerger for FmsaMerger {
         if !ssa_ir::verifier::verify_function(&pair.merged).is_empty() {
             return Err(Refused {
                 alignment: pair.alignment,
+                align_time: pair.align_time,
+                codegen_time: pair.codegen_time,
             });
         }
         Ok(pair)

@@ -3,18 +3,19 @@
 //! Every candidate pair the planner examines moves through a lifecycle —
 //! discovered → scored(profit) → rejected(reason) | committed — and each
 //! transition is recorded here as one [`Decision`]. The log is ordered by a
-//! global sequence number, exported as JSONL via `--decisions-out`, and
-//! replayed for a single pair by `salssa explain`.
+//! global sequence number and exported as JSONL via `--decisions-out`;
+//! `salssa explain` reads one pair's events back out of a captured run.
 //!
 //! Recording is observationally pure: every emission site reads planner
 //! state, never writes it, so the committed records are bit-identical with
-//! the log on or off. When disabled, [`record_decision`] is one relaxed
-//! atomic load.
+//! the log on or off. When disabled, [`record_decision`] is a relaxed atomic
+//! load and a look at this thread's capture slot.
 //!
-//! Work that runs on several threads at once can still log in a fixed order:
 //! [`capture_decisions`] keeps what one thread records in a buffer of its
-//! own, and [`append_decisions`] later adds such buffers to the log, in the
-//! order the caller chooses, numbering them as they go in.
+//! own, with or without the process-wide switch ([`set_decisions`]), and
+//! [`append_decisions`] later adds such buffers to the log, in the order the
+//! caller chooses, numbering them as they go in: work on several threads
+//! logs in a fixed order, and `salssa explain` reads one run's decisions.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,13 +31,15 @@ fn log() -> &'static Mutex<Vec<Decision>> {
     LOG.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Is decision logging on? One relaxed load.
+/// Does this thread record decisions: is the process-wide switch on, or a
+/// [`capture_decisions`] open on this thread?
 #[inline]
 pub fn decisions_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed) || CAPTURE.with(|capture| capture.borrow().is_some())
 }
 
-/// Turn decision logging on or off.
+/// Turn process-wide decision logging on or off. Captures record whatever
+/// the switch says.
 pub fn set_decisions(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -196,8 +199,9 @@ fn push(decision: Decision) {
     log.push(decision);
 }
 
-/// Append one decision to the log. No-op (one atomic load) when disabled.
-/// Prefer [`record_decision_with`] when building the pair is not free.
+/// Append one decision to the log, or to this thread's open capture. No-op
+/// when this thread does not record ([`decisions_enabled`]). Prefer
+/// [`record_decision_with`] when building the pair is not free.
 #[inline]
 pub fn record_decision(event: DecisionEvent, pair: Pair, profit: Option<i64>, detail: String) {
     if !decisions_enabled() {
@@ -228,13 +232,22 @@ pub fn record_decision_with(
 
 /// Decisions one thread recorded inside [`capture_decisions`]: kept out of
 /// the log, and not numbered, until [`append_decisions`] adds them.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CapturedDecisions(Vec<Decision>);
 
+impl CapturedDecisions {
+    /// The captured decisions in recorded order, unnumbered.
+    pub fn into_vec(self) -> Vec<Decision> {
+        self.0
+    }
+}
+
 /// Runs `f` with every decision this thread records kept in a buffer of its
-/// own instead of the log, and returns `f`'s result with that buffer. A
-/// capture opened inside another one hands its decisions back to its own
-/// caller; decisions recorded on other threads are not captured.
+/// own instead of the log, and returns `f`'s result with that buffer. The
+/// thread records while the capture is open, whatever the process-wide
+/// switch says. A capture opened inside another one hands its decisions
+/// back to its own caller; decisions recorded on other threads are not
+/// captured.
 pub fn capture_decisions<T>(f: impl FnOnce() -> T) -> (T, CapturedDecisions) {
     /// Puts the enclosing capture back, also when `f` unwinds.
     struct Restore(Option<Vec<Decision>>);
@@ -417,6 +430,37 @@ mod tests {
         let decisions = take_decisions();
         assert_eq!(decisions.len(), 1);
         assert_eq!(decisions[0].pair.func_a, "kept");
+    }
+
+    #[test]
+    fn a_capture_records_its_thread_with_the_switch_off() {
+        let _l = lock();
+        set_decisions(false);
+        let _ = take_decisions();
+        let record = |func: &str| {
+            record_decision(
+                DecisionEvent::Discovered,
+                Pair::intra(func, "x"),
+                None,
+                String::new(),
+            )
+        };
+        let (enabled, captured) = capture_decisions(|| {
+            record("inside");
+            // Another thread without a capture records nothing.
+            std::thread::scope(|scope| scope.spawn(|| record("elsewhere")).join().unwrap());
+            decisions_enabled()
+        });
+        assert!(enabled, "a thread records while its capture is open");
+        assert!(!decisions_enabled(), "the switch is left off");
+        let funcs: Vec<String> = captured
+            .into_vec()
+            .into_iter()
+            .map(|d| d.pair.func_a)
+            .collect();
+        assert_eq!(funcs, ["inside"]);
+        record("after");
+        assert!(take_decisions().is_empty());
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   concurrent runs cannot leak into each other's reports.
 //! * [`decisions`] — the candidate-pair lifecycle (discovered → scored →
 //!   rejected(reason) → committed) as an ordered event log, exported as
-//!   JSONL and replayed by `salssa explain`.
+//!   JSONL. A capture records its own thread's decisions without the
+//!   process-wide switch; `salssa explain` reads one run's log that way.
 //! * [`alloc`] — the **resource layer**: a counting `#[global_allocator]`
 //!   wrapper (installed below, process-wide) tracking current/peak heap
 //!   bytes and allocation counts, plus `VmHWM`/`VmRSS` readers. When

@@ -1,57 +1,41 @@
-//! `salssa explain`: replay discovery and scoring for one candidate pair and
-//! print the verdict chain.
+//! `salssa explain`: why one candidate pair did or did not merge.
 //!
-//! The pipeline's decision log (`--decisions-out`) records what happened to
-//! every pair during a real run; `explain` answers the complementary
-//! question — *why* — for a single pair, by re-running the stages that judge
-//! it in isolation: LSH discovery, host placement, the pre-filter,
-//! speculative scoring, and the ODR hazard scan. Each stage appends an
-//! [`ExplainStep`] and the chain ends in a verdict. Each stage calls the
-//! function the pipeline calls for it ([`crate::index::CorpusIndex::build_incremental`],
-//! [`crate::discover()`], the pipeline's host placement, pre-filter, scorer
-//! and hazard scan), so a change to one of those changes both.
-//!
-//! The replay is of round 1 on the corpus as loaded, and of the pair alone.
-//! It does not see what a real run does around the pair: commits scheduled
-//! before it (which can consume one of its functions or add a hazard), later
-//! fixpoint rounds and interleaved intra passes, or the differential oracle,
-//! which runs at commit time against the mutated modules. The verdict says
-//! so explicitly when `--check-semantics` would apply.
+//! Whether a pair merges depends on everything the run schedules before it:
+//! commits go in profit order and retire the functions they use, later
+//! fixpoint rounds meet merged bodies, and the differential oracle judges a
+//! commit against the modules as they are by then. So `explain` runs the
+//! pipeline once, with the caller's configuration, and reads the pair's
+//! events out of that run's own decision log
+//! ([`telemetry::capture_decisions`], which leaves the process-wide log
+//! off). Each event of the pair, in either orientation and from every round,
+//! becomes an [`ExplainStep`], and the last one is the verdict: the planner
+//! is the only code that decides a pair's fate, and explain repeats what it
+//! recorded.
 
-use crate::discover::discover;
-use crate::index::CorpusIndex;
-use crate::pipeline::{
-    has_odr_hazard, score_cross, uniquify_module_names, CouplingMap, HostPolicy, ScoredCross,
-    XMergeConfig,
-};
-use callgraph::{CallGraph, CorpusCallIndex};
-use ssa_ir::{Linkage, Module};
-use std::collections::HashMap;
+use crate::pipeline::{uniquify_module_names, xmerge_corpus, XMergeConfig};
+use ssa_ir::Module;
 use std::fmt;
+use telemetry::{Decision, DecisionEvent};
 
-/// One stage of the replay: what was checked and what came out.
+/// One recorded event of the pair.
 #[derive(Debug, Clone)]
 pub struct ExplainStep {
-    /// Stage name (`resolve`, `discovery`, `placement`, `prefilter`,
-    /// `scoring`, `hazard`, `oracle`).
+    /// The stage that recorded it: `discovery`, `scoring`, `rejected` or
+    /// `commit`.
     pub stage: &'static str,
-    /// Human-readable outcome of the stage.
+    /// What the event recorded; every event after discovery also names the
+    /// pair's host and donor modules as the pipeline placed them.
     pub detail: String,
 }
 
-/// The full verdict chain for one pair.
+/// The verdict chain for one pair.
 #[derive(Debug, Clone)]
 pub struct Explanation {
-    /// Stages in the order the pipeline applies them.
+    /// The pair's events in log order; one `discovery` step instead when no
+    /// round discovered the pair or both functions live in one module.
     pub steps: Vec<ExplainStep>,
-    /// Final disposition: would-commit, or the first rejection.
+    /// The outcome of the last event, with its reason.
     pub verdict: String,
-}
-
-impl Explanation {
-    fn push(&mut self, stage: &'static str, detail: String) {
-        self.steps.push(ExplainStep { stage, detail });
-    }
 }
 
 impl fmt::Display for Explanation {
@@ -63,40 +47,36 @@ impl fmt::Display for Explanation {
     }
 }
 
-/// A function reference resolved from a `module:name`-or-bare-name spec.
+/// A function reference resolved from a `module:name`-or-bare-name spec,
+/// with its size when it was resolved.
 struct Resolved {
     module: usize,
     name: String,
+    insts: usize,
 }
 
-fn resolve_spec(modules: &[Module], spec: &str) -> Result<Resolved, String> {
+/// Resolves a spec in `modules`; `Ok(None)` when no module (or not the
+/// named one) defines the function.
+fn resolve_spec(modules: &[Module], spec: &str) -> Result<Option<Resolved>, String> {
+    let resolved = |module: usize, name: &str| {
+        modules[module].function(name).map(|f| Resolved {
+            module,
+            name: name.to_string(),
+            insts: f.num_insts(),
+        })
+    };
     if let Some((module_part, fn_part)) = spec.split_once(':') {
         let mi = modules
             .iter()
             .position(|m| m.name == module_part)
             .ok_or_else(|| format!("no module named `{module_part}` in the corpus"))?;
-        if modules[mi].function(fn_part).is_none() {
-            return Err(format!(
-                "module `{module_part}` does not define `{fn_part}`"
-            ));
-        }
-        return Ok(Resolved {
-            module: mi,
-            name: fn_part.to_string(),
-        });
+        return Ok(resolved(mi, fn_part));
     }
-    let mut sites: Vec<usize> = Vec::new();
-    for (mi, m) in modules.iter().enumerate() {
-        if m.function(spec).is_some() {
-            sites.push(mi);
-        }
-    }
+    let sites: Vec<usize> = (0..modules.len())
+        .filter(|&mi| modules[mi].function(spec).is_some())
+        .collect();
     match sites.len() {
-        0 => Err(format!("no function named `{spec}` in the corpus")),
-        1 => Ok(Resolved {
-            module: sites[0],
-            name: spec.to_string(),
-        }),
+        0 | 1 => Ok(sites.first().and_then(|&mi| resolved(mi, spec))),
         _ => Err(format!(
             "`{spec}` is defined in {} modules ({}); qualify it as module:function",
             sites.len(),
@@ -109,31 +89,126 @@ fn resolve_spec(modules: &[Module], spec: &str) -> Result<Resolved, String> {
     }
 }
 
-fn describe_score(modules: &[Module], s: &ScoredCross) -> String {
-    let (host_size, donor_size, merged_size) = s.sizes;
-    if s.odr_dedup {
-        let (host, donor) = (&modules[s.host].name, &modules[s.donor].name);
-        format!(
-            "ODR dedup: `{}` is structurally identical in {host} and {donor}; dropping the \
-             donor copy saves {} bytes; host={host}, donor={donor}",
-            s.f1, s.profit
-        )
-    } else {
-        format!(
-            "profit {} bytes (host {host_size} B + donor {donor_size} B vs merged \
-             {merged_size} B plus two thunks); host={}, donor={}",
-            s.profit, modules[s.host].name, modules[s.donor].name
-        )
+/// The error for a spec that resolves neither in the corpus nor in the
+/// run's output.
+fn missing(spec: &str) -> String {
+    match spec.split_once(':') {
+        Some((module, name)) => format!("module `{module}` does not define `{name}`"),
+        None => format!("no function named `{spec}` in the corpus"),
     }
 }
 
-/// Replays discovery, scoring, and the hazard scan for the pair named by
-/// `spec_a` / `spec_b` (each `function` or `module:function`) and returns the
-/// verdict chain.
+/// For two functions of one module: an error when they are the same
+/// function, else the out-of-scope verdict (intra-module decisions carry no
+/// module names, so the cross-module log cannot tell this pair's story).
+fn same_module(a: &Resolved, b: &Resolved) -> Result<Option<Explanation>, String> {
+    if a.module != b.module {
+        return Ok(None);
+    }
+    if a.name == b.name {
+        return Err("both specs name the same function".to_string());
+    }
+    Ok(Some(Explanation {
+        steps: vec![ExplainStep {
+            stage: "discovery",
+            detail: "both functions live in the same module: this is an intra-module pair; \
+                     cross-module discovery never considers it (the intra driver's \
+                     fingerprint ranking does)"
+                .to_string(),
+        }],
+        verdict: "out of scope for the cross-module pipeline; run `salssa merge` \
+                  on the module to see the intra-module outcome"
+            .to_string(),
+    }))
+}
+
+/// The explanation of a pair no round discovered, naming the discovery
+/// floor when a side is below it.
+fn undiscovered(config: &XMergeConfig, sides: [&Resolved; 2]) -> Explanation {
+    let min = config.discovery.min_function_size;
+    let mut why: Vec<String> = sides
+        .iter()
+        .filter(|r| r.insts < min)
+        .map(|r| {
+            format!(
+                "{} has {} instructions, below the discovery floor of {min}",
+                r.name, r.insts
+            )
+        })
+        .collect();
+    if why.is_empty() {
+        why.push(
+            "no LSH band collided (the opcode-shingle signatures are too \
+             dissimilar), or the pair ranked below max_candidates_per_fn"
+                .to_string(),
+        );
+    }
+    Explanation {
+        steps: vec![ExplainStep {
+            stage: "discovery",
+            detail: format!("NOT discovered: {}", why.join("; ")),
+        }],
+        verdict: "not a candidate: no round of the run discovered the pair".to_string(),
+    }
+}
+
+/// What an event recorded beyond its kind: the reason of a rejection, the
+/// detail and the profit (`superseded: an endpoint was consumed by an
+/// earlier commit, profit 146 bytes`).
+fn particulars(d: &Decision) -> String {
+    let mut parts: Vec<String> = Vec::new();
+    if let DecisionEvent::Rejected(reason) = d.event {
+        parts.push(reason.as_str().to_string());
+    }
+    if !d.detail.is_empty() {
+        parts.push(d.detail.clone());
+    }
+    let mut out = parts.join(": ");
+    if let Some(profit) = d.profit {
+        out += &format!(
+            "{}profit {profit} bytes",
+            if out.is_empty() { "" } else { ", " }
+        );
+    }
+    out
+}
+
+/// One event as a step. Discovery orients a pair by size; every later event
+/// names it as placed, host first.
+fn step(d: &Decision) -> ExplainStep {
+    let stage = match d.event {
+        DecisionEvent::Discovered => {
+            return ExplainStep {
+                stage: "discovery",
+                detail: format!("discovered by LSH: {}", d.detail),
+            };
+        }
+        DecisionEvent::Scored => "scoring",
+        DecisionEvent::Rejected(_) => "rejected",
+        DecisionEvent::Committed => "commit",
+    };
+    ExplainStep {
+        stage,
+        detail: format!(
+            "{}; host={}, donor={}",
+            particulars(d),
+            d.pair.module_a,
+            d.pair.module_b
+        ),
+    }
+}
+
+/// Explains the pair named by `spec_a` / `spec_b` (each `function` or
+/// `module:function`): runs [`xmerge_corpus`] once over `modules` with
+/// `config`, leaving them as the run does, and returns the pair's recorded
+/// decisions as the verdict chain. Two functions of one module are answered
+/// without a run.
 ///
-/// Module names are uniquified exactly as [`crate::xmerge_corpus`] does, so
+/// Module names are uniquified exactly as [`xmerge_corpus`] does, so
 /// specs should use the post-uniquification names when the corpus has
 /// duplicate module names (rare; the loader derives names from file stems).
+/// A function the corpus does not define resolves in the run's output, so a
+/// `merged.xm.*` body that a later round merged again can be named.
 pub fn explain_pair(
     modules: &mut [Module],
     config: &XMergeConfig,
@@ -141,234 +216,62 @@ pub fn explain_pair(
     spec_b: &str,
 ) -> Result<Explanation, String> {
     uniquify_module_names(modules);
-    let a = resolve_spec(modules, spec_a)?;
-    let b = resolve_spec(modules, spec_b)?;
-    if a.module == b.module && a.name == b.name {
-        return Err("both specs name the same function".to_string());
-    }
-
-    let mut ex = Explanation {
-        steps: Vec::new(),
-        verdict: String::new(),
-    };
-    ex.push(
-        "resolve",
-        format!(
-            "a = {}:{}, b = {}:{}",
-            modules[a.module].name, a.name, modules[b.module].name, b.name
-        ),
-    );
-
-    if a.module == b.module {
-        ex.push(
-            "discovery",
-            "both functions live in the same module: this is an intra-module pair; \
-             cross-module discovery never considers it (the intra driver's \
-             fingerprint ranking does)"
-                .to_string(),
-        );
-        ex.verdict = "out of scope for the cross-module pipeline; run `salssa merge` \
-                      on the module to see the intra-module outcome"
-            .to_string();
-        return Ok(ex);
-    }
-
-    // Stage 1: LSH discovery, exactly as round 1 of the pipeline runs it
-    // (including the pipeline's zero-means-default signature width).
-    let num_hashes = if config.num_hashes == 0 {
-        fm_align::MinHash::DEFAULT_HASHES
-    } else {
-        config.num_hashes
-    };
-    let (index, _reuse) = CorpusIndex::build_incremental(modules, num_hashes, None);
-    let candidates = discover(&index, &config.discovery);
-    let entry_matches = |ei: usize, r: &Resolved| {
-        let e = &index.entries[ei];
-        e.module == modules[r.module].name && e.name == r.name
-    };
-    let found = candidates.iter().find(|c| {
-        (entry_matches(c.a, &a) && entry_matches(c.b, &b))
-            || (entry_matches(c.a, &b) && entry_matches(c.b, &a))
-    });
-    // Score in discovery's orientation when found (entry `a` hosts), else in
-    // the orientation the user gave.
-    let (host, donor) = match found {
-        Some(c) => {
-            ex.push(
-                "discovery",
-                format!(
-                    "discovered by LSH: fingerprint distance {}, estimated similarity {:.3}",
-                    c.distance, c.similarity
-                ),
-            );
-            if entry_matches(c.a, &a) {
-                (&a, &b)
-            } else {
-                (&b, &a)
-            }
-        }
-        None => {
-            let min = config.discovery.min_function_size;
-            let mut why: Vec<String> = Vec::new();
-            for r in [&a, &b] {
-                let n = modules[r.module].function(&r.name).unwrap().num_insts();
-                if n < min {
-                    why.push(format!(
-                        "{} has {n} instructions, below the discovery floor of {min}",
-                        r.name
-                    ));
-                }
-            }
-            if why.is_empty() {
-                why.push(
-                    "no LSH band collided (the opcode-shingle signatures are too \
-                     dissimilar), or the pair ranked below max_candidates_per_fn"
-                        .to_string(),
-                );
-            }
-            ex.push("discovery", format!("NOT discovered: {}", why.join("; ")));
-            (&a, &b)
-        }
-    };
-
-    // The discovery-time distance sizes alignment bands downstream (cost
-    // only, never the verdict's value).
-    let distance = found.map(|c| c.distance);
-
-    // Stage 2: host placement under the run's policy, over the round's
-    // call-graph coupling, as the planner places every key before scoring.
-    let key = (
-        host.module,
-        donor.module,
-        host.name.clone(),
-        donor.name.clone(),
-    );
-    let (hi, di, f1_name, f2_name) = if config.host_policy == HostPolicy::CallGraph {
-        let coupling = CouplingMap::of(&CallGraph::resolve(&CorpusCallIndex::build(modules)));
-        let placed = coupling.place(modules, config.host_policy, key);
-        ex.push(
-            "placement",
-            format!(
-                "call-graph policy: {}:{} hosts (the less-coupled side donates)",
-                modules[placed.0].name, placed.2
-            ),
-        );
-        placed
-    } else {
-        key
-    };
-
-    // Stage 3: the admissible pre-filter, exactly as the planner applies it
-    // before any speculative trial merge.
-    let f1 = modules[hi].function(&f1_name).unwrap();
-    let f2 = modules[di].function(&f2_name).unwrap();
-    if config.prefilter {
-        let band = config
-            .options
-            .band
-            .map(|slack| fm_align::Band::from_hint(slack, distance));
-        if fm_align::prefilter_rejects(f1, f2, config.options.target, band) {
-            ex.push(
-                "prefilter",
-                "the class-histogram profit upper bound cannot clear the merge \
-                 overhead (no alignment, however good, makes this pair \
-                 profitable), so the planner skips scoring it"
-                    .to_string(),
-            );
-            ex.verdict = "rejected: admissible pre-filter (provably unprofitable)".to_string();
+    let input = [
+        resolve_spec(modules, spec_a)?,
+        resolve_spec(modules, spec_b)?,
+    ];
+    if let [Some(a), Some(b)] = &input {
+        if let Some(ex) = same_module(a, b)? {
             return Ok(ex);
         }
-        ex.push(
-            "prefilter",
-            "passed: the profit upper bound clears the merge overhead".to_string(),
-        );
     }
-
-    // Stage 4: speculative scoring — the same trial merge the planner
-    // batches, with the discovery distance sizing the alignment band.
-    let scored = score_cross(hi, di, f1, f2, &config.options, distance);
-    let s = match scored {
-        Ok((s, _)) => {
-            ex.push("scoring", describe_score(modules, &s));
-            if s.profit <= 0 {
-                ex.verdict = format!(
-                    "rejected: unprofitable (profit {} bytes ≤ 0); the planner \
-                     never schedules it",
-                    s.profit
-                );
-                return Ok(ex);
-            }
-            s
-        }
-        Err(_) => {
-            ex.push(
-                "scoring",
-                "the merger refused the pair (no aligned merge could be built)".to_string(),
-            );
-            ex.verdict = "rejected: refused by the merger".to_string();
-            return Ok(ex);
+    let (_, log) = telemetry::capture_decisions(|| xmerge_corpus(modules, config));
+    let modules: &[Module] = modules;
+    let after_run = |resolved: Option<Resolved>, spec: &str| -> Result<Resolved, String> {
+        match resolved {
+            Some(r) => Ok(r),
+            None => resolve_spec(modules, spec)?.ok_or_else(|| missing(spec)),
         }
     };
-
-    // Stage 5: the ODR hazard scan, over the same def-site map the pipeline
-    // builds.
-    let mut def_sites: HashMap<String, Vec<(usize, Linkage)>> = HashMap::new();
-    for (mi, m) in modules.iter().enumerate() {
-        for f in m.functions() {
-            def_sites
-                .entry(f.name.clone())
-                .or_default()
-                .push((mi, f.linkage));
-        }
-    }
-    if has_odr_hazard(modules, &def_sites, &s) {
-        ex.push(
-            "hazard",
-            "ODR hazard: a symbol this commit rewires (the pair itself, or one \
-             of the donor body's module-internal callees) is defined differently \
-             elsewhere in the corpus with external linkage"
-                .to_string(),
-        );
-        ex.verdict = "rejected: whole-program ODR hazard".to_string();
+    let [a, b] = input;
+    let (a, b) = (after_run(a, spec_a)?, after_run(b, spec_b)?);
+    if let Some(ex) = same_module(&a, &b)? {
         return Ok(ex);
     }
-    ex.push(
-        "hazard",
-        "no ODR hazard: the commit is link-safe".to_string(),
-    );
-
-    if config.check_semantics {
-        ex.push(
-            "oracle",
-            "the differential oracle runs at commit time against the mutated \
-             host+donor pair; it cannot be replayed in isolation"
-                .to_string(),
-        );
-    }
-    ex.verdict = format!(
-        "would commit for {} bytes, subject to profit-ordered scheduling \
-         against competing pairs{}",
-        s.profit,
-        if config.check_semantics {
-            " and the commit-time differential oracle"
-        } else {
-            ""
-        }
-    );
-    if found.is_none() {
-        ex.verdict = format!(
-            "scoring alone accepts it ({} bytes), but discovery never surfaces \
-             the pair — the pipeline would not see it",
-            s.profit
-        );
-    }
-    Ok(ex)
+    let sides = [
+        (modules[a.module].name.as_str(), a.name.as_str()),
+        (modules[b.module].name.as_str(), b.name.as_str()),
+    ];
+    let events: Vec<Decision> = log
+        .into_vec()
+        .into_iter()
+        .filter(|d| {
+            let named = [
+                (d.pair.module_a.as_str(), d.pair.func_a.as_str()),
+                (d.pair.module_b.as_str(), d.pair.func_b.as_str()),
+            ];
+            named == sides || [named[1], named[0]] == sides
+        })
+        .collect();
+    let Some(last) = events.last() else {
+        return Ok(undiscovered(config, [&a, &b]));
+    };
+    Ok(Explanation {
+        steps: events.iter().map(step).collect(),
+        verdict: format!("{} ({})", last.event.as_str(), particulars(last)),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{xmerge_corpus, XMergeConfig};
+    use crate::discover::discover;
+    use crate::index::CorpusIndex;
+    use crate::pipeline::{xmerge_corpus, FixpointConfig, HostPolicy, XMergeConfig};
+    use salssa::DriverConfig;
+    use ssa_ir::parse_module;
+    use std::collections::{BTreeMap, HashMap};
+    use telemetry::RejectReason;
     use workloads::{BenchmarkSpec, CorpusSpec, Divergence};
 
     fn corpus() -> Vec<Module> {
@@ -475,5 +378,219 @@ mod tests {
             flipped += usize::from(!explain(&XMergeConfig::new(), &host, &donor).contains(&placed));
         }
         assert!(flipped > 0, "the size rule places every commit alike");
+    }
+
+    /// A module of one function per `(name, return type)`, all with the
+    /// same body.
+    fn module(name: &str, functions: &[(&str, &str)], extra: &str) -> Module {
+        let text: Vec<String> = functions
+            .iter()
+            .map(|(f, ret)| {
+                format!(
+                    "define {ret} @{f}(i32 %x) {{\nentry:\n  %a = add i32 %x, 1\n  %b = mul i32 %a, 3\n  %c = call i32 @h(i32 %b)\n  %d = xor i32 %c, %x\n  %e = call i32 @h(i32 %d)\n  %g = sub i32 %e, %a\n  %r = zext i32 %g to {ret}\n  ret {ret} %r\n}}"
+                )
+            })
+            .collect();
+        let mut m = parse_module(&format!("{}\n{extra}", text.join("\n"))).unwrap();
+        m.name = name.to_string();
+        m
+    }
+
+    /// The events of a run that name both sides, in either orientation.
+    fn events_of(log: &[Decision], a: (&str, &str), b: (&str, &str)) -> Vec<Decision> {
+        log.iter()
+            .filter(|d| {
+                let x = (d.pair.module_a.as_str(), d.pair.func_a.as_str());
+                let y = (d.pair.module_b.as_str(), d.pair.func_b.as_str());
+                (x, y) == (a, b) || (x, y) == (b, a)
+            })
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn explain_never_turns_the_process_wide_log_on() {
+        let mut corpus = vec![
+            module("a", &[("f", "i32")], ""),
+            module("b", &[("g", "i32")], ""),
+        ];
+        let ex =
+            explain_pair(&mut corpus, &XMergeConfig::new(), "a:f", "b:g").expect("explain runs");
+        assert!(ex.verdict.starts_with("committed"), "{ex}");
+        assert!(!telemetry::decisions_enabled());
+        assert!(telemetry::take_decisions().is_empty());
+    }
+
+    /// The benchmark's fixpoint configuration on the call-heavy corpus of
+    /// seed 21: for one pair of each final outcome, and one pair with a side
+    /// an earlier round made, explain's steps are the pair's recorded events
+    /// in log order and its verdict is the last one.
+    #[test]
+    fn explain_steps_are_the_runs_recorded_events() {
+        let corpus = CorpusSpec {
+            seed: 21,
+            ..CorpusSpec::call_heavy()
+        }
+        .generate();
+        let fuel = Some(100_000);
+        let config = XMergeConfig::new()
+            .with_check_semantics(true)
+            .with_oracle_fuel(fuel)
+            .with_host_policy(HostPolicy::CallGraph)
+            .with_fixpoint(FixpointConfig {
+                intra: Some(
+                    DriverConfig::default()
+                        .with_check_semantics(true)
+                        .with_oracle_fuel(fuel),
+                ),
+                ..FixpointConfig::default()
+            });
+        let (_, log) = telemetry::capture_decisions(|| xmerge_corpus(&mut corpus.clone(), &config));
+        let log = log.into_vec();
+
+        // Each cross pair's last event, keyed by its sides in sorted order.
+        let mut last: BTreeMap<[(String, String); 2], Decision> = BTreeMap::new();
+        for d in log.iter().filter(|d| !d.pair.module_a.is_empty()) {
+            let mut sides = [
+                (d.pair.module_a.clone(), d.pair.func_a.clone()),
+                (d.pair.module_b.clone(), d.pair.func_b.clone()),
+            ];
+            sides.sort();
+            last.insert(sides, d.clone());
+        }
+        let outcome = |d: &Decision| match d.event {
+            DecisionEvent::Rejected(reason) => reason.as_str(),
+            event => event.as_str(),
+        };
+        let mut outcomes: HashMap<&str, usize> = HashMap::new();
+        for d in last.values() {
+            *outcomes.entry(outcome(d)).or_default() += 1;
+        }
+        let expected = [
+            ("unprofitable", 21),
+            ("committed", 16),
+            ("superseded", 15),
+            ("prefiltered", 12),
+            ("oracle_timeout", 2),
+        ];
+        assert_eq!(outcomes, expected.into_iter().collect(), "final outcomes");
+        let made =
+            |sides: &[(String, String); 2]| sides.iter().any(|(_, f)| f.starts_with("merged.xm."));
+        assert_eq!(last.keys().filter(|sides| made(sides)).count(), 12);
+
+        let mut picked: Vec<&[(String, String); 2]> = expected
+            .iter()
+            .map(|(wanted, _)| last.iter().find(|(_, d)| outcome(d) == *wanted).unwrap().0)
+            .collect();
+        picked.push(last.keys().find(|sides| made(sides)).unwrap());
+        for sides in picked {
+            let [(ma, fa), (mb, fb)] = sides;
+            let events = events_of(&log, (ma, fa), (mb, fb));
+            let ex = explain_pair(
+                &mut corpus.clone(),
+                &config,
+                &format!("{ma}:{fa}"),
+                &format!("{mb}:{fb}"),
+            )
+            .expect("explain runs");
+            assert_eq!(
+                ex.steps.len(),
+                events.len(),
+                "{ma}:{fa} vs {mb}:{fb}:\n{ex}"
+            );
+            for (step, d) in ex.steps.iter().zip(&events) {
+                let stage = match d.event {
+                    DecisionEvent::Discovered => "discovery",
+                    DecisionEvent::Scored => "scoring",
+                    DecisionEvent::Rejected(_) => "rejected",
+                    DecisionEvent::Committed => "commit",
+                };
+                assert_eq!(step.stage, stage, "{ex}");
+                assert!(step.detail.contains(&d.detail), "{ex}");
+                if let Some(profit) = d.profit {
+                    assert!(step.detail.contains(&format!("profit {profit} bytes")));
+                }
+                if d.event != DecisionEvent::Discovered {
+                    let placed = format!("host={}, donor={}", d.pair.module_a, d.pair.module_b);
+                    assert!(step.detail.contains(&placed), "{ex}");
+                }
+            }
+            let d = events.last().unwrap();
+            assert!(ex.verdict.contains(outcome(d)), "{ex}");
+            assert!(ex.verdict.contains(&d.detail), "{ex}");
+        }
+    }
+
+    /// An announced pair the merger refuses (same body, different return
+    /// types) is logged as refused, and explained so.
+    #[test]
+    fn a_refused_pair_is_logged_and_explained_as_refused() {
+        let corpus = vec![
+            module("a", &[("f", "i64")], ""),
+            module("b", &[("g", "i16")], ""),
+        ];
+        let config = XMergeConfig::new().with_prefilter(false);
+        let (report, log) =
+            telemetry::capture_decisions(|| xmerge_corpus(&mut corpus.clone(), &config));
+        assert_eq!(report.num_commits(), 0);
+        let events = events_of(&log.into_vec(), ("a", "f"), ("b", "g"));
+        let kinds: Vec<DecisionEvent> = events.iter().map(|d| d.event).collect();
+        assert_eq!(
+            kinds,
+            [
+                DecisionEvent::Discovered,
+                DecisionEvent::Rejected(RejectReason::Refused)
+            ]
+        );
+        let ex = explain_pair(&mut corpus.clone(), &config, "a:f", "b:g").expect("explain runs");
+        assert_eq!(ex.steps.len(), 2, "{ex}");
+        assert!(ex.verdict.starts_with("rejected (refused: "), "{ex}");
+    }
+
+    /// A vetoed commit is logged and explained as a hazard, with its reason.
+    /// Under `--check-semantics`, a host and donor that each define an
+    /// unrelated external `@x` differently cannot be linked; a third module
+    /// exporting its own `@f` makes rewiring the host's `@f` an ODR conflict.
+    #[test]
+    fn hazards_are_logged_and_explained_with_their_reason() {
+        let one =
+            |name: &str, k: i32| format!("define i32 @{name}() {{\nentry:\n  ret i32 {k}\n}}");
+        let linked = vec![
+            module("a", &[("f", "i32")], &one("x", 1)),
+            module("b", &[("g", "i32")], &one("x", 2)),
+        ];
+        let rival = vec![
+            module("a", &[("f", "i32")], ""),
+            module("b", &[("g", "i32")], ""),
+            module("c", &[], &one("f", 3)),
+        ];
+        for (corpus, config, why) in [
+            (
+                &linked,
+                XMergeConfig::new().with_check_semantics(true),
+                "link conflict",
+            ),
+            (&rival, XMergeConfig::new(), "ODR conflict"),
+        ] {
+            let (report, log) =
+                telemetry::capture_decisions(|| xmerge_corpus(&mut corpus.clone(), &config));
+            assert_eq!(report.num_commits(), 0);
+            assert_eq!(report.hazard_skips, 1);
+            let events = events_of(&log.into_vec(), ("a", "f"), ("b", "g"));
+            let last = events.last().expect("the pair is logged");
+            assert_eq!(last.event, DecisionEvent::Rejected(RejectReason::Hazard));
+            assert!(last.detail.starts_with(why), "{last:?}");
+            let ex = explain_pair(&mut corpus.clone(), &config, "a:f", "g").expect("explain runs");
+            let verdict = format!("rejected (hazard: {why}");
+            assert!(ex.verdict.starts_with(&verdict), "{ex}");
+        }
+        // The one-instruction `@x` copies are below the discovery floor.
+        let config = XMergeConfig::new();
+        let ex = explain_pair(&mut linked.clone(), &config, "a:x", "b:x").expect("explain runs");
+        assert!(
+            ex.steps[0].detail.contains("below the discovery floor"),
+            "{ex}"
+        );
+        assert!(ex.verdict.starts_with("not a candidate"), "{ex}");
     }
 }

@@ -44,15 +44,16 @@
 //!
 //! The intra passes of one round run in parallel, one module each
 //! ([`merge_module_with_memo`]): a pass reads and writes only its module.
-//! Each pass records its decisions into a buffer of its own
-//! ([`telemetry::capture_decisions`]) and reads the memo as the round left
-//! it. The pipeline then appends the decisions, adds the passes' new scores
-//! to the memo, runs the paranoid checks and folds the reports, all in module
-//! order, so output, counts and the decision log (sequence numbers included)
-//! are those of passes run one after another. The passes' phase times still
-//! add up into [`PlanStats::score_time`] and [`PlanStats::commit_time`], so
-//! those sums can exceed the wall time. Which pass trips an armed
-//! `plan.score` or `plan.commit` fault probe depends on their timing.
+//! When the run records decisions, each pass records its own into a buffer
+//! ([`telemetry::capture_decisions`]); every pass reads the memo as the
+//! round left it. The pipeline then appends the decisions, adds the passes'
+//! new scores to the memo, runs the paranoid checks and folds the reports,
+//! all in module order, so output, counts and the decision log (sequence
+//! numbers included) are those of passes run one after another. The passes'
+//! phase times still add up into [`PlanStats::score_time`] and
+//! [`PlanStats::commit_time`], so those sums can exceed the wall time. Which
+//! pass trips an armed `plan.score` or `plan.commit` fault probe depends on
+//! their timing.
 //!
 //! Every round also (incrementally) rebuilds the whole-program **call graph**
 //! (the `callgraph` crate). It drives **host selection**
@@ -615,19 +616,19 @@ impl fmt::Display for CorpusMergeReport {
 /// One speculatively scored cross-module pair. Its merged body is dropped:
 /// one body per profitable pair corpus-wide would dominate memory, so the
 /// commit regenerates the winner (pair merging is deterministic).
-pub(crate) struct ScoredCross {
-    pub(crate) host: usize,
-    pub(crate) donor: usize,
-    pub(crate) f1: String,
-    pub(crate) f2: String,
-    pub(crate) profit: i64,
-    pub(crate) sizes: (usize, usize, usize),
-    pub(crate) odr_dedup: bool,
+struct ScoredCross {
+    host: usize,
+    donor: usize,
+    f1: String,
+    f2: String,
+    profit: i64,
+    sizes: (usize, usize, usize),
+    odr_dedup: bool,
 }
 
 /// Identity of one cross-module candidate pair: host module index, donor
 /// module index, and the two function names.
-pub(crate) type CrossKey = (usize, usize, String, String);
+type CrossKey = (usize, usize, String, String);
 
 /// Discovery-time fingerprint distance per candidate pair, keyed by module
 /// and function names with both orientations inserted so the host-policy
@@ -650,14 +651,13 @@ struct Coupling {
 
 /// Every function's static intra-module coupling in one round's corpus,
 /// keyed module name → function name (nested so placement looks up by `&str`
-/// without allocating). The pipeline builds one per round and
-/// [`crate::explain_pair`] one for its replay, so both place a pair alike.
+/// without allocating). The pipeline builds one per round.
 #[derive(Debug, Default)]
-pub(crate) struct CouplingMap(HashMap<String, HashMap<String, Coupling>>);
+struct CouplingMap(HashMap<String, HashMap<String, Coupling>>);
 
 impl CouplingMap {
     /// The coupling of every function of a resolved call graph.
-    pub(crate) fn of(graph: &CallGraph) -> CouplingMap {
+    fn of(graph: &CallGraph) -> CouplingMap {
         let mut map: HashMap<String, HashMap<String, Coupling>> = HashMap::new();
         for (node, locality) in graph.nodes.iter().zip(graph.locality()) {
             map.entry(graph.modules[node.module].clone())
@@ -696,7 +696,7 @@ impl CouplingMap {
     /// cross-module edges. Ties keep the size orientation, and placement is
     /// idempotent (a flipped key never flips back: its new donor side costs
     /// ≤ its new host side).
-    pub(crate) fn place(&self, modules: &[Module], policy: HostPolicy, key: CrossKey) -> CrossKey {
+    fn place(&self, modules: &[Module], policy: HostPolicy, key: CrossKey) -> CrossKey {
         if policy != HostPolicy::CallGraph {
             return key;
         }
@@ -940,11 +940,10 @@ impl CandidateSource for CrossSource<'_> {
     /// profitable first, ties broken by module/function names (total, since
     /// module names are unique after uniquification).
     fn plan(&mut self, cache: &salssa::plan::ScoreCache<CrossKey, ScoredCross>) {
-        let mut scored: Vec<(CrossKey, i64, bool)> = Vec::with_capacity(cache.len());
-        for (key, score) in cache.iter() {
-            let Some(s) = score.as_ref() else { continue };
-            scored.push((key.clone(), s.profit, s.odr_dedup));
-        }
+        let mut scored: Vec<(CrossKey, i64, bool)> = cache
+            .iter()
+            .map(|(key, s)| (key.clone(), s.profit, s.odr_dedup))
+            .collect();
         self.attempts = scored.len();
         scored.sort_by(|(xk, xp, _), (yk, yp, _)| {
             yp.cmp(xp)
@@ -1005,18 +1004,18 @@ impl CandidateSource for CrossSource<'_> {
         Some(self.pair_of(key))
     }
 
-    fn hazard(&mut self, _key: &CrossKey, s: &ScoredCross) -> bool {
+    fn hazard(&mut self, _key: &CrossKey, s: &ScoredCross) -> Option<&'static str> {
         let _span = telemetry::span_with("xmerge.hazard_scan", || {
             format!(
                 "{}:{} vs {}:{}",
                 self.modules[s.host].name, s.f1, self.modules[s.donor].name, s.f2
             )
         });
-        let verdict = has_odr_hazard(self.modules, &self.def_sites, s);
-        if verdict {
-            self.hazard_skips += 1;
+        if !has_odr_hazard(self.modules, &self.def_sites, s) {
+            return None;
         }
-        verdict
+        self.hazard_skips += 1;
+        Some("ODR conflict: the commit would rebind a symbol another module defines differently")
     }
 
     fn commit(&mut self, _key: CrossKey, s: ScoredCross) -> CommitOutcome<CrossMergeRecord> {
@@ -1077,7 +1076,10 @@ impl CandidateSource for CrossSource<'_> {
                 // one when the before side fails): the oracle cannot attest
                 // anything, so skip the commit conservatively as a link hazard.
                 self.hazard_skips += 1;
-                return CommitOutcome::Skipped;
+                return CommitOutcome::Hazard(
+                    "link conflict: host and donor define a symbol differently, \
+                     so the oracle cannot link them",
+                );
             };
             // Internal entry points were localized by the link; resolve them
             // through the rename map (host and donor keep their module names
@@ -1350,11 +1352,14 @@ pub fn xmerge_corpus(modules: &mut [Module], config: &XMergeConfig) -> CorpusMer
         if let Some(intra_config) = fixpoint.and_then(|f| f.intra) {
             let merger = SalSsaMerger::new(config.options);
             // A pass reads and writes only its own module, so the round's
-            // passes run on all cores. Each records its decisions into a
-            // buffer of its own and reads the run's memo without adding to
+            // passes run on all cores. When this thread records decisions,
+            // each pass records its own into a buffer (a capture records
+            // whether or not the process-wide log is on, so passes open
+            // none otherwise). A pass reads the run's memo without adding to
             // it; the loop below appends the decisions, absorbs the new
             // scores and folds the reports in module order, exactly as
             // passes run one after another would.
+            let record = telemetry::decisions_enabled();
             let mut passes: Vec<(usize, &mut Module)> = modules
                 .iter_mut()
                 .enumerate()
@@ -1364,9 +1369,12 @@ pub fn xmerge_corpus(modules: &mut [Module], config: &XMergeConfig) -> CorpusMer
                 .par_iter_mut()
                 .map(|(mi, module)| {
                     let _span = telemetry::span_with("xmerge.intra", || module.name.clone());
-                    let ((intra_report, scores), decisions) = telemetry::capture_decisions(|| {
-                        merge_module_with_memo(module, &merger, &intra_config, &memo)
-                    });
+                    let mut pass = || merge_module_with_memo(module, &merger, &intra_config, &memo);
+                    let ((intra_report, scores), decisions) = if record {
+                        telemetry::capture_decisions(pass)
+                    } else {
+                        (pass(), telemetry::CapturedDecisions::default())
+                    };
                     (*mi, intra_report, scores, decisions)
                 })
                 .collect();
@@ -1431,7 +1439,7 @@ pub fn xmerge_corpus(modules: &mut [Module], config: &XMergeConfig) -> CorpusMer
 /// Scores one cross-module pair without mutating anything; the merged body
 /// is dropped (see [`ScoredCross`]). Returns the score with the trial
 /// merge's alignment stats (`None` for an ODR dedup, which never aligns).
-pub(crate) fn score_cross(
+fn score_cross(
     host: usize,
     donor: usize,
     f1: &Function,
@@ -1495,7 +1503,7 @@ pub(crate) fn score_cross(
 ///   callee defined *internally* in the donor but not identically in the
 ///   host is a hazard too — the call would escape the donor's module-local
 ///   symbol, which [`ssa_ir::link_modules`] localizes away.
-pub(crate) fn has_odr_hazard(
+fn has_odr_hazard(
     modules: &[Module],
     def_sites: &HashMap<String, Vec<(usize, Linkage)>>,
     s: &ScoredCross,
@@ -1554,7 +1562,7 @@ pub(crate) fn has_odr_hazard(
 /// callee is a donor-internal symbol the host has no identical copy of (the
 /// linked program localizes the donor's definition, so the moved call could
 /// only bind to an unrelated — or missing — external definition).
-pub(crate) fn has_callee_hazard(modules: &[Module], donor_fn: &Function, s: &ScoredCross) -> bool {
+fn has_callee_hazard(modules: &[Module], donor_fn: &Function, s: &ScoredCross) -> bool {
     for callee in callees_of(donor_fn) {
         match (
             modules[s.donor].function(&callee),
