@@ -447,6 +447,25 @@ mod tests {
         assert_eq!(r3.stats.hit_rate(), 1.0);
     }
 
+    /// A warm engine re-analyzing an unchanged corpus computes nothing: one
+    /// module-block hit per module plus the program verdict, and the same
+    /// diagnostics.
+    #[test]
+    fn warm_program_analysis_computes_nothing() {
+        let corpus = workloads::CorpusSpec {
+            seed: 22,
+            ..workloads::CorpusSpec::default()
+        }
+        .generate();
+        let engine = AnalysisEngine::new();
+        let cold = engine.analyze_program(&corpus);
+        assert!(cold.stats.cache_misses > 0, "{:?}", cold.stats);
+        let warm = engine.analyze_program(&corpus);
+        assert_eq!(warm.stats.cache_misses, 0, "{:?}", warm.stats);
+        assert_eq!(warm.stats.cache_hits, corpus.len() as u64 + 1);
+        assert_eq!(warm.diagnostics, cold.diagnostics);
+    }
+
     #[test]
     fn merged_namespace_is_part_of_the_cache_key() {
         // Identical bodies, one under the merged namespace: the verdicts

@@ -1,1 +1,3 @@
-//! Benchmark harness crate; see `src/bin/experiments.rs` and `benches/`.
+//! Home of the `experiments` binary (`src/bin/experiments.rs`), which
+//! regenerates the paper's tables and figures. Wall-time measurements of the
+//! merging pipeline live in the `mergebench` package.

@@ -330,8 +330,20 @@ impl ModuleMergeReport {
         }
     }
 
-    /// Stores a run's alignment sums in the `align_*` run fields.
-    fn set_alignments(&mut self, tally: &AlignTally) {
+    /// The run's work: its alignment sums and stage times.
+    pub fn work(&self) -> PassWork {
+        PassWork {
+            alignments: self.alignments(),
+            align_time: self.align_time,
+            codegen_time: self.codegen_time,
+        }
+    }
+
+    /// Stores a run's work in the `align_*` run fields and stage times.
+    fn set_work(&mut self, work: &PassWork) {
+        self.align_time = work.align_time;
+        self.codegen_time = work.codegen_time;
+        let tally = &work.alignments;
         self.align_score_only_runs = tally.score_only_runs;
         self.align_full_runs = tally.full_runs;
         self.total_cells = tally.cells;
@@ -430,14 +442,39 @@ struct ScoredCandidate {
     pair: Option<PairMerge>,
 }
 
-/// What a pass's trial merges and pre-filter checks cost: every alignment,
-/// and the alignment and code-generation time of every merge, refused ones
-/// included.
-#[derive(Default)]
-struct PassWork {
-    alignments: AlignTally,
-    align_time: Duration,
-    codegen_time: Duration,
+/// What a run's merges and pre-filter checks cost: every alignment, and the
+/// alignment and code-generation time of every merge, refused ones and
+/// commit re-merges included. The one work ledger of both drivers: an intra
+/// pass keeps one, and the cross-module pipeline keeps one per run, which
+/// each round and intra pass adds to.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PassWork {
+    /// Every alignment run and pre-filter check.
+    pub alignments: AlignTally,
+    /// Time spent in sequence alignment.
+    pub align_time: Duration,
+    /// Time spent in code generation, SSA repair and clean-up.
+    pub codegen_time: Duration,
+}
+
+impl PassWork {
+    /// Counts one merge, refused or not: its alignment and stage times.
+    pub fn add_merge(&mut self, merged: &Result<PairMerge, Refused>) {
+        let (stats, align_time, codegen_time) = match merged {
+            Ok(p) => (p.alignment, p.align_time, p.codegen_time),
+            Err(r) => (r.alignment, r.align_time, r.codegen_time),
+        };
+        self.alignments.add(&stats);
+        self.align_time += align_time;
+        self.codegen_time += codegen_time;
+    }
+
+    /// Adds another ledger's sums.
+    pub fn absorb(&mut self, other: &PassWork) {
+        self.alignments.absorb(&other.alignments);
+        self.align_time += other.align_time;
+        self.codegen_time += other.codegen_time;
+    }
 }
 
 /// The memo a fixpoint run shares with one intra pass: the run's scores,
@@ -478,25 +515,17 @@ impl IntraSource<'_> {
     fn merge_pair(&self, f1: &Function, f2: &Function) -> Option<PairMerge> {
         let merged_name = format!("merged.{}.{}", f1.name, f2.name);
         let merged = self.merger.merge_pair(f1, f2, &merged_name);
-        let (stats, align_time, codegen_time) = match &merged {
-            Ok(p) => (p.alignment, p.align_time, p.codegen_time),
-            Err(r) => (r.alignment, r.align_time, r.codegen_time),
-        };
-        let mut work = self
-            .work
+        self.work
             .lock()
-            .expect("no thread panics while counting an alignment");
-        work.alignments.add(&stats);
-        work.align_time += align_time;
-        work.codegen_time += codegen_time;
-        drop(work);
+            .expect("no thread panics while counting an alignment")
+            .add_merge(&merged);
         merged.ok()
     }
 
     /// Trial-merges a pair and prices it.
     fn trial(&self, f1: &Function, f2: &Function) -> Option<(i64, PairMerge)> {
         let pair = self.merge_pair(f1, f2)?;
-        let profit = estimate_profit(self.module, &f1.name, &f2.name, &pair, self.merger.target());
+        let profit = estimate_profit(f1, f2, &pair, self.merger.target());
         Some((profit, pair))
     }
 }
@@ -767,9 +796,7 @@ fn run_pass(
         .work
         .into_inner()
         .expect("no thread panics while counting an alignment");
-    report.set_alignments(&work.alignments);
-    report.align_time = work.align_time;
-    report.codegen_time = work.codegen_time;
+    report.set_work(&work);
     report.committed = committed;
     report.planner = stats;
 
@@ -789,37 +816,13 @@ fn run_pass(
 }
 
 /// Modelled byte profit of replacing `f1` and `f2` by the merged function plus
-/// two thunks. Public so alternative drivers (and the equivalence test
-/// suite's reference implementation) share the exact cost model.
-pub fn estimate_profit(
-    module: &Module,
-    f1: &str,
-    f2: &str,
-    pair: &PairMerge,
-    target: Target,
-) -> i64 {
-    let size_f1 = function_size_bytes(module.function(f1).unwrap(), target) as i64;
-    let size_f2 = function_size_bytes(module.function(f2).unwrap(), target) as i64;
-    let merged = function_size_bytes(&pair.merged, target) as i64;
-    let thunk1 = function_size_bytes(
-        &build_thunk(
-            module.function(f1).unwrap(),
-            &pair.merged,
-            &pair.param_f1,
-            false,
-        ),
-        target,
-    ) as i64;
-    let thunk2 = function_size_bytes(
-        &build_thunk(
-            module.function(f2).unwrap(),
-            &pair.merged,
-            &pair.param_f2,
-            true,
-        ),
-        target,
-    ) as i64;
-    size_f1 + size_f2 - merged - thunk1 - thunk2
+/// two thunks. Public so the cross-module pipeline and the equivalence test
+/// suite's reference driver share the exact cost model.
+pub fn estimate_profit(f1: &Function, f2: &Function, pair: &PairMerge, target: Target) -> i64 {
+    let size = |f: &Function| function_size_bytes(f, target) as i64;
+    let thunk1 = build_thunk(f1, &pair.merged, &pair.param_f1, false);
+    let thunk2 = build_thunk(f2, &pair.merged, &pair.param_f2, true);
+    size(f1) + size(f2) - size(&pair.merged) - size(&thunk1) - size(&thunk2)
 }
 
 /// Replaces `f1` and `f2` in the module by the merged function and two thunks.

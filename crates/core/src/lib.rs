@@ -49,7 +49,8 @@ pub mod ssa_repair;
 pub use codegen::{CodegenMaps, Side, FID};
 pub use driver::{
     build_thunk, estimate_profit, merge_module, merge_module_with_memo, DriverConfig, DriverMode,
-    FunctionMerger, MergeRecord, ModuleMergeReport, SalSsaMerger, SEMANTIC_SAMPLES, SEMANTIC_SEED,
+    FunctionMerger, MergeRecord, ModuleMergeReport, PassWork, SalSsaMerger, SEMANTIC_SAMPLES,
+    SEMANTIC_SEED,
 };
 pub use merge::{merge_pair, merge_pair_with_distance, PairMerge, Refused};
 pub use options::MergeOptions;

@@ -7,8 +7,7 @@
 //! the peak memory of the baseline — the effect measured in Figures 22
 //! and 23. Because the planner speculatively scores every ranked candidate
 //! pair, that quadratic matrix used to be allocated once per candidate; this
-//! module replaces it with three tiers that never materialize the full
-//! matrix:
+//! module replaces it with two tiers that never materialize the full matrix:
 //!
 //! * [`align_score`] — score only: a two-row rolling DP over the *shorter*
 //!   sequence. O(min(n, m)) live memory, no traceback. This is the tier for
@@ -20,8 +19,8 @@
 //!   with true global DP rows, so every traceback decision is evaluated
 //!   against the same scores the full matrix would have held — the returned
 //!   [`Alignment::pairs`] are **byte-identical** to the historical
-//!   full-matrix traceback (enforced by the differential proptests against
-//!   [`align_full_matrix`]). Peak live memory is O(m · log n) — the rolling
+//!   full-matrix traceback (enforced by differential tests against that
+//!   textbook formulation). Peak live memory is O(m · log n) — the rolling
 //!   rows plus one seed row per live recursion level — instead of O(n · m).
 //!   Time is O(n · m) cells in the worst case: once the first base strip
 //!   fixes the walk's value, every later strip clamps its column range to a
@@ -29,9 +28,9 @@
 //!   can still reach the walk's value), restoring the strict Hirschberg
 //!   work bound that the exact-seed recursion previously gave up on
 //!   right-edge-hugging adversarial paths.
-//! * [`align_full_matrix`] — the original quadratic implementation, kept as
-//!   the reference oracle for the differential tests and as the baseline of
-//!   the `alignment` criterion group. Production paths never call it.
+//!
+//! The original quadratic implementation survives only as the differential
+//! tests' oracle; no production path has it.
 //!
 //! On top of the tiers sits an optional **diagonal band** ([`Band`],
 //! [`align_banded`], [`align_score_banded`]): the DP is restricted to a
@@ -74,8 +73,9 @@
 //! no per-pair DP allocations in steady state.
 //!
 //! [`linearize`]: crate::linearize::linearize
+//! [`mergeable`]: crate::linearize::mergeable
 
-use crate::linearize::{linearize, mergeable, SeqEntry};
+use crate::linearize::{linearize, SeqEntry};
 use crate::prefilter::PrefilterCheck;
 use ssa_ir::{BinOp, CastKind, Function, ICmpPred, InstKind, Type};
 use ssa_passes::Target;
@@ -242,10 +242,10 @@ impl AlignTally {
 // Mergeability classes.
 // ---------------------------------------------------------------------------
 
-/// The feature tuple [`mergeable`] compares: two entries are mergeable iff
-/// their classes are equal. Kept in exact lockstep with
-/// [`crate::linearize::mergeable_insts`] — every arm of that match compares
-/// precisely the fields captured here.
+/// The feature tuple [`mergeable`](crate::linearize::mergeable) compares:
+/// two entries are mergeable iff their classes are equal. Kept in exact
+/// lockstep with [`crate::linearize::mergeable_insts`] — every arm of that
+/// match compares precisely the fields captured here.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub(crate) enum MergeClass {
     Label,
@@ -882,13 +882,14 @@ pub fn align_score_banded_in(
 // Tier 2: linear-space exact traceback.
 // ---------------------------------------------------------------------------
 
-/// Aligns two linearized functions, maximizing the number of [`mergeable`]
-/// pairs (gaps carry no penalty and non-mergeable entries are never paired,
-/// matching the scoring used by FMSA). The result — including tie-breaking —
-/// is byte-identical to the historical full-matrix traceback
-/// ([`align_full_matrix`]), but peak memory is O(m · log n) instead of
-/// O(n · m): the divide-and-conquer recursion re-derives DP rows on demand
-/// and holds at most one seed row per live level.
+/// Aligns two linearized functions, maximizing the number of
+/// [`mergeable`](crate::linearize::mergeable) pairs (gaps carry no penalty
+/// and non-mergeable entries are never paired, matching the scoring used by
+/// FMSA). The result — including tie-breaking — is byte-identical to the
+/// historical full-matrix traceback (the tests' oracle), but peak memory is
+/// O(m · log n) instead of O(n · m): the divide-and-conquer recursion
+/// re-derives DP rows on demand and holds at most one seed row per live
+/// level.
 pub fn align(f1: &Function, seq1: &[SeqEntry], f2: &Function, seq2: &[SeqEntry]) -> Alignment {
     with_scratch(|scratch| align_banded_in(scratch, f1, seq1, f2, seq2, None))
 }
@@ -912,8 +913,8 @@ pub fn align_in(
 /// the walk's value already known, which arms the meet-in-the-middle column
 /// clamp from the first strip. If the band saturates, the pass is discarded
 /// and the exact unbanded traceback runs. Either way the returned pairs are
-/// byte-identical to [`align_full_matrix`] — banding never changes results,
-/// only the work spent reaching them.
+/// byte-identical to [`align`]'s — banding never changes results, only the
+/// work spent reaching them.
 pub fn align_banded(
     f1: &Function,
     seq1: &[SeqEntry],
@@ -1227,93 +1228,87 @@ impl Tracer<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Tier 3: the quadratic reference.
-// ---------------------------------------------------------------------------
-
-/// The historical full-matrix Needleman–Wunsch implementation: allocates the
-/// complete `(n + 1) × (m + 1)` score matrix and traces back greedily from
-/// the bottom-right corner. Kept as the reference oracle the linear-space
-/// [`align`] is differentially tested against, and as the baseline of the
-/// `alignment` benchmarks. Production paths never call this: a driver test
-/// checks that every alignment a parallel merge run makes holds fewer live
-/// bytes than this tier's matrix.
-pub fn align_full_matrix(
-    f1: &Function,
-    seq1: &[SeqEntry],
-    f2: &Function,
-    seq2: &[SeqEntry],
-) -> Alignment {
-    let n = seq1.len();
-    let m = seq2.len();
-    // Score matrix, (n+1) x (m+1). u32 scores; usize would double memory for
-    // no benefit, and function sizes beyond 4G entries are not realistic.
-    let width = m + 1;
-    let mut score = vec![0u32; (n + 1) * width];
-    let mut cells = 0u64;
-    for i in 1..=n {
-        for j in 1..=m {
-            cells += 1;
-            let up = score[(i - 1) * width + j];
-            let left = score[i * width + (j - 1)];
-            let mut best = up.max(left);
-            if mergeable(f1, seq1[i - 1], f2, seq2[j - 1]) {
-                let diag = score[(i - 1) * width + (j - 1)] + 1;
-                best = best.max(diag);
-            }
-            score[i * width + j] = best;
-        }
-    }
-
-    // Traceback from the bottom-right corner.
-    let mut pairs_rev = Vec::with_capacity(n + m);
-    let mut matches = 0usize;
-    let (mut i, mut j) = (n, m);
-    while i > 0 || j > 0 {
-        let cur = score[i * width + j];
-        if i > 0
-            && j > 0
-            && mergeable(f1, seq1[i - 1], f2, seq2[j - 1])
-            && cur == score[(i - 1) * width + (j - 1)] + 1
-        {
-            pairs_rev.push(AlignedPair::Match(seq1[i - 1], seq2[j - 1]));
-            matches += 1;
-            i -= 1;
-            j -= 1;
-        } else if i > 0 && cur == score[(i - 1) * width + j] {
-            pairs_rev.push(AlignedPair::OnlyLeft(seq1[i - 1]));
-            i -= 1;
-        } else {
-            pairs_rev.push(AlignedPair::OnlyRight(seq2[j - 1]));
-            j -= 1;
-        }
-    }
-    pairs_rev.reverse();
-
-    let matrix = (score.len() * std::mem::size_of::<u32>()) as u64;
-    Alignment {
-        pairs: pairs_rev,
-        stats: AlignmentStats {
-            len_left: n,
-            len_right: m,
-            matches,
-            cells,
-            matrix_bytes: matrix,
-            full_matrix_bytes: matrix,
-            trimmed: 0,
-            score_only: false,
-            banded: false,
-            band_saturated: false,
-            class_table_builds: 0,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linearize::linearize;
+    use crate::linearize::{linearize, mergeable};
     use ssa_ir::parse_function;
+
+    /// The historical full-matrix Needleman–Wunsch implementation: allocates
+    /// the complete `(n + 1) × (m + 1)` score matrix and traces back greedily
+    /// from the bottom-right corner. The oracle the linear-space [`align`] is
+    /// differentially tested against; production paths have no such tier.
+    fn align_full_matrix(
+        f1: &Function,
+        seq1: &[SeqEntry],
+        f2: &Function,
+        seq2: &[SeqEntry],
+    ) -> Alignment {
+        let n = seq1.len();
+        let m = seq2.len();
+        // Score matrix, (n+1) x (m+1). u32 scores; usize would double memory
+        // for no benefit, and function sizes beyond 4G entries are not
+        // realistic.
+        let width = m + 1;
+        let mut score = vec![0u32; (n + 1) * width];
+        let mut cells = 0u64;
+        for i in 1..=n {
+            for j in 1..=m {
+                cells += 1;
+                let up = score[(i - 1) * width + j];
+                let left = score[i * width + (j - 1)];
+                let mut best = up.max(left);
+                if mergeable(f1, seq1[i - 1], f2, seq2[j - 1]) {
+                    let diag = score[(i - 1) * width + (j - 1)] + 1;
+                    best = best.max(diag);
+                }
+                score[i * width + j] = best;
+            }
+        }
+
+        // Traceback from the bottom-right corner.
+        let mut pairs_rev = Vec::with_capacity(n + m);
+        let mut matches = 0usize;
+        let (mut i, mut j) = (n, m);
+        while i > 0 || j > 0 {
+            let cur = score[i * width + j];
+            if i > 0
+                && j > 0
+                && mergeable(f1, seq1[i - 1], f2, seq2[j - 1])
+                && cur == score[(i - 1) * width + (j - 1)] + 1
+            {
+                pairs_rev.push(AlignedPair::Match(seq1[i - 1], seq2[j - 1]));
+                matches += 1;
+                i -= 1;
+                j -= 1;
+            } else if i > 0 && cur == score[(i - 1) * width + j] {
+                pairs_rev.push(AlignedPair::OnlyLeft(seq1[i - 1]));
+                i -= 1;
+            } else {
+                pairs_rev.push(AlignedPair::OnlyRight(seq2[j - 1]));
+                j -= 1;
+            }
+        }
+        pairs_rev.reverse();
+
+        let matrix = (score.len() * std::mem::size_of::<u32>()) as u64;
+        Alignment {
+            pairs: pairs_rev,
+            stats: AlignmentStats {
+                len_left: n,
+                len_right: m,
+                matches,
+                cells,
+                matrix_bytes: matrix,
+                full_matrix_bytes: matrix,
+                trimmed: 0,
+                score_only: false,
+                banded: false,
+                band_saturated: false,
+                class_table_builds: 0,
+            },
+        }
+    }
 
     /// Exhaustive (exponential) alignment, to check the optimality of
     /// [`align`] on tiny sequences.

@@ -9,9 +9,9 @@
 //! * [`align()`] — Needleman–Wunsch global alignment maximizing the number of
 //!   mergeable pairs, computed by a linear-space divide-and-conquer traceback
 //!   whose output is byte-identical to the classic full-matrix formulation
-//!   (kept as [`align_full_matrix`], the differential-test oracle and
-//!   benchmark baseline), with the instrumentation (cells, live DP bytes,
-//!   trim savings) used by the compile-time and memory experiments,
+//!   (which survives only as the differential tests' oracle), with the
+//!   instrumentation (cells, live DP bytes, trim savings) used by the
+//!   compile-time and memory experiments,
 //! * [`align_score`] — the score-only tier: a two-row rolling DP over the
 //!   shorter sequence for callers that need only the match count,
 //! * [`AlignTally`] — the sums a run's reports publish: every call returns
@@ -48,9 +48,9 @@ pub mod linearize;
 pub mod prefilter;
 
 pub use align::{
-    align, align_banded, align_banded_in, align_full_matrix, align_in, align_score,
-    align_score_banded, align_score_banded_in, align_score_in, with_scratch, AlignScratch,
-    AlignTally, AlignedPair, Alignment, AlignmentStats, Band, ClassTable,
+    align, align_banded, align_banded_in, align_in, align_score, align_score_banded,
+    align_score_banded_in, align_score_in, with_scratch, AlignScratch, AlignTally, AlignedPair,
+    Alignment, AlignmentStats, Band, ClassTable,
 };
 pub use fingerprint::{Fingerprint, MinHash, Ranking, SHINGLE_LEN};
 pub use linearize::{linearize, mergeable, mergeable_insts, SeqEntry};

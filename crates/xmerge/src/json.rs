@@ -325,7 +325,7 @@ pub fn corpus_report_json(report: &CorpusMergeReport) -> String {
         .collect();
     let region_counts: Vec<String> = report.region_counts.iter().map(usize::to_string).collect();
     format!(
-        r#"{{"kind":"xmerge","modules":{},"functions":{},"candidates":{},"attempts":{},"commits":{},"merges":{},"odr_dedups":{},"hazard_skips":{},"semantic_rejections":{},"size_before_bytes":{},"size_after_bytes":{},"reduction_percent":{},"total_profit_bytes":{},"timing_ms":{{"index":{},"discover":{},"score":{},"commit":{},"callgraph":{}}},"committed":[{}],"per_module":[{}],"planner":{},"fixpoint_rounds":{},"round_commits":[{}],"intra_merges":{},"intra_committed":[{}],"structural_cache":{{"hits":{},"misses":{},"hit_rate":{:.4}}},"index_reuse":{{"reused":{},"refreshed":{}}},"host_policy":"{}","cross_module_call_edges_forced":{},"cross_module_call_edges_saved":{},"region_counts":[{}],"call_index_reuse":{{"reused":{},"refreshed":{}}},"alignment":{},"prefilter":{},"diagnostics":{},"telemetry":{},"resources":{},"recovery":{}}}"#,
+        r#"{{"kind":"xmerge","modules":{},"functions":{},"candidates":{},"attempts":{},"commits":{},"merges":{},"odr_dedups":{},"hazard_skips":{},"semantic_rejections":{},"size_before_bytes":{},"size_after_bytes":{},"reduction_percent":{},"total_profit_bytes":{},"timing_ms":{{"index":{},"discover":{},"score":{},"commit":{},"callgraph":{}}},"committed":[{}],"per_module":[{}],"planner":{},"fixpoint_rounds":{},"round_commits":[{}],"intra_merges":{},"intra_committed":[{}],"structural_cache":{{"hits":{},"misses":{},"hit_rate":{:.4}}},"index_reuse":{{"reused":{},"refreshed":{}}},"host_policy":"{}","cross_module_call_edges_forced":{},"cross_module_call_edges_saved":{},"region_counts":[{}],"call_index_reuse":{{"reused":{},"refreshed":{}}},"alignment":{},"prefilter":{},"diagnostics":{},"telemetry":{},"resources":{},"recovery":{},"align_ms":{},"codegen_ms":{}}}"#,
         report.modules,
         report.functions,
         report.candidates,
@@ -382,7 +382,9 @@ pub fn corpus_report_json(report: &CorpusMergeReport) -> String {
             ),
         ),
         resources_json(),
-        recovery_json(report.functions_skipped, report.modules_recovered)
+        recovery_json(report.functions_skipped, report.modules_recovered),
+        ms(report.align_time),
+        ms(report.codegen_time)
     )
 }
 
@@ -411,6 +413,7 @@ mod tests {
             json.contains(r#""gauges":{},"histograms":{"fm_align.alignment_length":{"count":0,"#)
         );
         assert!(json.contains(r#""recovery":{"functions_skipped":0,"modules_recovered":0}"#));
+        assert!(json.ends_with(r#","align_ms":0.000,"codegen_ms":0.000}"#));
         assert!(json.contains(r#""internal_errors":0,"oracle_timeouts":0,"memo_hits":0}"#));
         // Retired counters stay in the append-only schema as constant zeros.
         assert!(json.contains(r#""oracle_carried":0,"hazard_reuse":0"#));

@@ -73,12 +73,12 @@
 use crate::discover::{discover, CandidatePair, DiscoveryConfig};
 use crate::index::{CorpusIndex, IndexReuse};
 use callgraph::{module_regions, CallGraph, CallIndexReuse, CorpusCallIndex};
-use fm_align::{AlignTally, AlignmentStats, MinHash};
+use fm_align::{AlignTally, MinHash};
 use rayon::prelude::*;
 use salssa::plan::{run_plan, CandidateSource, CommitOutcome, MemoScore, PlanStats, ScoreMemo};
 use salssa::{
-    build_thunk, merge_module_with_memo, merge_pair_with_distance, DriverConfig, MergeOptions,
-    MergeRecord, Refused, SalSsaMerger, SEMANTIC_SAMPLES, SEMANTIC_SEED,
+    build_thunk, estimate_profit, merge_module_with_memo, merge_pair_with_distance, DriverConfig,
+    MergeOptions, MergeRecord, PassWork, SalSsaMerger, SEMANTIC_SAMPLES, SEMANTIC_SEED,
 };
 use ssa_ir::{
     callees_of, import_function, link_modules_with_renames, sanitize_symbol,
@@ -321,6 +321,13 @@ pub struct CorpusMergeReport {
     pub score_time: Duration,
     /// Time spent committing (imports, merges, thunk emission, oracle runs).
     pub commit_time: Duration,
+    /// Total time spent in sequence alignment by every merge the run made
+    /// (cross trial merges and commit re-merges, interleaved intra passes),
+    /// refused ones included.
+    pub align_time: Duration,
+    /// Total time the same merges spent in code generation (including SSA
+    /// repair and local clean-up).
+    pub codegen_time: Duration,
     /// Fixpoint rounds executed (1 without [`XMergeConfig::fixpoint`]).
     pub rounds: usize,
     /// Cross-module commits per round, in round order.
@@ -461,8 +468,11 @@ impl CorpusMergeReport {
         }
     }
 
-    /// Stores a run's alignment sums in the `align_*` run fields.
-    fn set_alignments(&mut self, tally: &AlignTally) {
+    /// Stores a run's work in the `align_*` run fields and stage times.
+    fn set_work(&mut self, work: &PassWork) {
+        self.align_time = work.align_time;
+        self.codegen_time = work.codegen_time;
+        let tally = &work.alignments;
         self.align_score_only_runs = tally.score_only_runs;
         self.align_full_runs = tally.full_runs;
         self.align_cells = tally.cells;
@@ -595,7 +605,7 @@ impl fmt::Display for CorpusMergeReport {
         )?;
         write!(
             f,
-            "  corpus: {} -> {} bytes ({:.1}% reduction); index {:?} ({} modules re-summarized, {} reused), callgraph {:?} ({} re-scanned, {} reused), discover {:?}, score {:?}, commit {:?}",
+            "  corpus: {} -> {} bytes ({:.1}% reduction); index {:?} ({} modules re-summarized, {} reused), callgraph {:?} ({} re-scanned, {} reused), discover {:?}, score {:?}, commit {:?}, align {:?}, codegen {:?}",
             self.size_before,
             self.size_after,
             100.0 * self.size_before.saturating_sub(self.size_after) as f64
@@ -608,7 +618,9 @@ impl fmt::Display for CorpusMergeReport {
             self.call_index_reuse.reused,
             self.discover_time,
             self.score_time,
-            self.commit_time
+            self.commit_time,
+            self.align_time,
+            self.codegen_time
         )
     }
 }
@@ -744,9 +756,9 @@ struct CrossSource<'a> {
     semantic_rejections: usize,
     /// Whole-program links performed for the oracle (before + after sides).
     oracle_links: usize,
-    /// Every alignment and pre-filter check of the round. Behind a lock
+    /// The round's work: every merge and pre-filter check. Behind a lock
     /// because speculative scoring runs on rayon workers through `&self`.
-    alignments: Mutex<AlignTally>,
+    work: Mutex<PassWork>,
     /// Paranoid monitor of the run; `None` unless [`XMergeConfig::paranoid`]
     /// is set.
     paranoid: Option<&'a mut analysis::ParanoidMonitor>,
@@ -790,7 +802,7 @@ impl<'a> CrossSource<'a> {
             hazard_skips: 0,
             semantic_rejections: 0,
             oracle_links: 0,
-            alignments: Mutex::new(AlignTally::default()),
+            work: Mutex::new(PassWork::default()),
             paranoid,
             distances,
             memo,
@@ -858,36 +870,20 @@ impl CandidateSource for CrossSource<'_> {
     }
 
     /// Scores a pair through the run's memo: a pair of bodies the run has
-    /// scored before is not merged again. A trial merge's alignment counts
-    /// in the round's tally, refused or not.
+    /// scored before is not merged again. A trial merge counts in the
+    /// round's work, refused or not.
     fn score(&self, key: &CrossKey) -> Option<ScoredCross> {
         let (hi, di, f1n, f2n) = key;
         let f1 = self.modules[*hi].function(f1n)?;
         let f2 = self.modules[*di].function(f2n)?;
         let (remembered, hit) = self.memo.get_or_score(f1, f2, || {
-            let scored = score_cross(
-                *hi,
-                *di,
+            score_cross(
                 f1,
                 f2,
                 &self.config.options,
                 self.distance_of(key),
-            );
-            let alignment = match &scored {
-                Ok((_, alignment)) => *alignment,
-                Err(refused) => Some(refused.alignment),
-            };
-            if let Some(stats) = &alignment {
-                self.alignments
-                    .lock()
-                    .expect("no thread panics while counting an alignment")
-                    .add(stats);
-            }
-            scored.ok().map(|(s, _)| MemoScore {
-                profit: s.profit,
-                sizes: s.sizes,
-                odr_dedup: s.odr_dedup,
-            })
+                &self.work,
+            )
         });
         if hit {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
@@ -929,9 +925,10 @@ impl CandidateSource for CrossSource<'_> {
             .band
             .map(|slack| fm_align::Band::from_hint(slack, self.distance_of(key)));
         let check = fm_align::prefilter_check(f1, f2, self.config.options.target, band);
-        self.alignments
+        self.work
             .lock()
             .expect("no thread panics while counting an alignment")
+            .alignments
             .add_prefilter(&check);
         check.rejects
     }
@@ -1027,8 +1024,8 @@ impl CandidateSource for CrossSource<'_> {
             s.f2
         );
         let (forced_edges, saved_edges) = self.edge_stats(&s);
-        let alignments = self
-            .alignments
+        let work = self
+            .work
             .get_mut()
             .expect("no thread panics while counting an alignment");
         // Savings the speculative score could not see (host-side ODR dedup
@@ -1058,7 +1055,7 @@ impl CandidateSource for CrossSource<'_> {
                     &s,
                     &merged_name,
                     &self.config.options,
-                    alignments,
+                    work,
                 )
             };
             let Some(profit) = outcome else {
@@ -1118,14 +1115,7 @@ impl CandidateSource for CrossSource<'_> {
             let outcome = if s.odr_dedup {
                 apply_dedup(host, donor, &s.f2)
             } else {
-                apply_commit(
-                    host,
-                    donor,
-                    &s,
-                    &merged_name,
-                    &self.config.options,
-                    alignments,
-                )
+                apply_commit(host, donor, &s, &merged_name, &self.config.options, work)
             };
             let Some(profit) = outcome else {
                 return CommitOutcome::Skipped;
@@ -1220,7 +1210,7 @@ pub fn xmerge_corpus(modules: &mut [Module], config: &XMergeConfig) -> CorpusMer
     // something (merge_module is deterministic, so an unchanged module that
     // committed nothing will commit nothing again).
     let mut intra_dirty = vec![true; modules.len()];
-    let mut alignments = AlignTally::default();
+    let mut work = PassWork::default();
     // Every pair score of the run, shared by all rounds and intra passes:
     // each ordered pair of bodies is merged at most once per run.
     let memo = ScoreMemo::new();
@@ -1320,9 +1310,9 @@ pub fn xmerge_corpus(modules: &mut [Module], config: &XMergeConfig) -> CorpusMer
         report.score_time += stats.score_time;
         report.commit_time += stats.commit_time;
         report.planner.absorb(&stats);
-        alignments.absorb(
+        work.absorb(
             &source
-                .alignments
+                .work
                 .into_inner()
                 .expect("no thread panics while counting an alignment"),
         );
@@ -1393,7 +1383,7 @@ pub fn xmerge_corpus(modules: &mut [Module], config: &XMergeConfig) -> CorpusMer
                 intra_dirty[mi] = intra_report.num_merges() > 0;
                 report.planner.absorb(&intra_report.planner);
                 report.semantic_rejections += intra_report.semantic_rejections;
-                alignments.absorb(&intra_report.alignments());
+                work.absorb(&intra_report.work());
                 report.intra_committed.extend(
                     intra_report
                         .committed
@@ -1432,55 +1422,42 @@ pub fn xmerge_corpus(modules: &mut [Module], config: &XMergeConfig) -> CorpusMer
     let (hits1, misses1) = structural_key_counters();
     report.cache_hits = hits1.saturating_sub(hits0);
     report.cache_misses = misses1.saturating_sub(misses0);
-    report.set_alignments(&alignments);
+    report.set_work(&work);
     report
 }
 
 /// Scores one cross-module pair without mutating anything; the merged body
-/// is dropped (see [`ScoredCross`]). Returns the score with the trial
-/// merge's alignment stats (`None` for an ODR dedup, which never aligns).
+/// is dropped (see [`ScoredCross`]). The trial merge counts in `work`,
+/// refused or not; an ODR dedup merges nothing. `None` when the merger
+/// refuses the pair.
 fn score_cross(
-    host: usize,
-    donor: usize,
     f1: &Function,
     f2: &Function,
     options: &MergeOptions,
     distance: Option<u64>,
-) -> Result<(ScoredCross, Option<AlignmentStats>), Refused> {
-    let target = options.target;
+    work: &Mutex<PassWork>,
+) -> Option<MemoScore> {
     if f1.name == f2.name && f1.linkage == Linkage::External && structurally_equal(f1, f2) {
         // ODR-identical external copies: dropping the donor's copy saves its
         // whole footprint minus nothing — no merge needed. (Internal copies
         // are distinct symbols; dropping one would leave the donor's
         // declaration unresolvable, so they go through a genuine merge.)
-        let dedup = ScoredCross {
-            host,
-            donor,
-            f1: f1.name.clone(),
-            f2: f2.name.clone(),
-            profit: function_size_bytes(f2, target) as i64,
+        return Some(MemoScore {
+            profit: function_size_bytes(f2, options.target) as i64,
             sizes: (f1.num_insts(), f2.num_insts(), 0),
             odr_dedup: true,
-        };
-        return Ok((dedup, None));
+        });
     }
-    let pair = merge_pair_with_distance(f1, f2, options, "merged.xm.trial", distance)?;
-    let thunk1 = build_thunk(f1, &pair.merged, &pair.param_f1, false);
-    let thunk2 = build_thunk(f2, &pair.merged, &pair.param_f2, true);
-    let profit = function_size_bytes(f1, target) as i64 + function_size_bytes(f2, target) as i64
-        - function_size_bytes(&pair.merged, target) as i64
-        - function_size_bytes(&thunk1, target) as i64
-        - function_size_bytes(&thunk2, target) as i64;
-    let scored = ScoredCross {
-        host,
-        donor,
-        f1: f1.name.clone(),
-        f2: f2.name.clone(),
-        profit,
+    let merged = merge_pair_with_distance(f1, f2, options, "merged.xm.trial", distance);
+    work.lock()
+        .expect("no thread panics while counting an alignment")
+        .add_merge(&merged);
+    let pair = merged.ok()?;
+    Some(MemoScore {
+        profit: estimate_profit(f1, f2, &pair, options.target),
         sizes: (f1.num_insts(), f2.num_insts(), pair.merged.num_insts()),
         odr_dedup: false,
-    };
-    Ok((scored, Some(pair.alignment)))
+    })
 }
 
 /// Conservative ODR hazard rules: committing must not leave the corpus with
@@ -1623,24 +1600,20 @@ pub(crate) fn uniquify_module_names(modules: &mut [Module]) {
 /// Returns the byte savings the speculative score could not see: when the
 /// host held its own ODR-identical copy of `f2`, that copy is replaced by a
 /// thunk too, saving its footprint on top of the scored profit. Zero in the
-/// common no-dedup case. The re-alignment is counted in `alignments`.
+/// common no-dedup case. The re-merge is counted in `work`.
 fn apply_commit(
     host: &mut Module,
     donor: &mut Module,
     s: &ScoredCross,
     merged_name: &str,
     options: &MergeOptions,
-    alignments: &mut AlignTally,
+    work: &mut PassWork,
 ) -> Option<i64> {
     let outcome = import_function(host, donor, &s.f2).ok()?;
     let original_f1 = host.function(&s.f1)?.clone();
     let original_f2 = host.function(&outcome.name)?.clone();
     let merged = merge_pair_with_distance(&original_f1, &original_f2, options, merged_name, None);
-    alignments.add(
-        &merged
-            .as_ref()
-            .map_or_else(|r| r.alignment, |p| p.alignment),
-    );
+    work.add_merge(&merged);
     let Ok(pair) = merged else {
         if !outcome.deduped {
             host.remove_function(&outcome.name);
@@ -1722,17 +1695,21 @@ mod tests {
             sizes: (10, 10, 0),
             odr_dedup: false,
         };
-        let mut alignments = AlignTally::default();
+        let mut work = PassWork::default();
         let extra = apply_commit(
             &mut host,
             &mut donor,
             &s,
             "merged.t",
             &MergeOptions::default(),
-            &mut alignments,
+            &mut work,
         )
         .expect("commit must succeed");
-        assert_eq!(alignments.full_runs, 1, "the commit re-aligns the pair");
+        assert_eq!(
+            work.alignments.full_runs, 1,
+            "the commit re-aligns the pair"
+        );
+        assert!(work.align_time > Duration::ZERO, "the re-merge is timed");
         assert!(
             extra > 0,
             "host's deduped @g copy must add savings: {extra}"

@@ -57,7 +57,7 @@ pub fn reference_merge(
             let Some(pair) = merge_pair(f1, f2, &options, &merged_name) else {
                 continue;
             };
-            let profit = estimate_profit(module, &name, &candidate, &pair, Target::X86Like);
+            let profit = estimate_profit(f1, f2, &pair, Target::X86Like);
             let improves = best.as_ref().map(|(p, _, _)| profit > *p).unwrap_or(true);
             if improves && profit > 0 {
                 best = Some((profit, candidate.clone(), pair));

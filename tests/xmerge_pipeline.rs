@@ -6,8 +6,9 @@
 use salssa::merge_pair;
 use ssa_ir::verifier::verify_module;
 use ssa_ir::{link_modules, print_module};
+use std::time::Duration;
 use workloads::CorpusSpec;
-use xmerge::{xmerge_corpus, FixpointConfig, HostPolicy, XMergeConfig};
+use xmerge::{corpus_report_json, xmerge_corpus, FixpointConfig, HostPolicy, XMergeConfig};
 
 fn eight_module_corpus() -> Vec<ssa_ir::Module> {
     CorpusSpec::default().generate()
@@ -220,6 +221,43 @@ fn align_cells_count_the_scoring_alignment_and_the_commit_realignment() {
         report.align_trimmed_entries,
         (scoring.alignment.trimmed + commit.alignment.trimmed) as u64
     );
+}
+
+/// A cross run reports the alignment and code-generation time of every
+/// merge it makes, in its report and its JSON: a cross commit's scoring and
+/// re-merge, and the interleaved intra passes' merges, which are the only
+/// merges of a one-module corpus.
+#[test]
+fn cross_runs_report_alignment_and_codegen_time() {
+    let cross = xmerge_corpus(
+        &mut hand_corpus(&[
+            ("mod_a", int_worker("left", "h1", 1)),
+            ("mod_b", int_worker("right", "h1", 2)),
+        ]),
+        &XMergeConfig::new(),
+    );
+    assert_eq!(cross.num_merges(), 1, "{cross}");
+    let clones = format!(
+        "{}\n{}",
+        int_worker("left", "h1", 1),
+        int_worker("right", "h1", 2)
+    );
+    let intra = xmerge_corpus(
+        &mut hand_corpus(&[("mod_a", clones)]),
+        &XMergeConfig::new().with_fixpoint(FixpointConfig::default()),
+    );
+    assert_eq!(
+        (intra.num_commits(), intra.num_intra_merges()),
+        (0, 1),
+        "{intra}"
+    );
+    for report in [&cross, &intra] {
+        assert!(report.align_time > Duration::ZERO, "{report}");
+        assert!(report.codegen_time > Duration::ZERO, "{report}");
+        let json = corpus_report_json(report);
+        assert!(json.contains(r#","align_ms":"#), "{json}");
+        assert!(json.contains(r#","codegen_ms":"#), "{json}");
+    }
 }
 
 /// One committing region plus an unrelated singleton region: the default
